@@ -68,22 +68,15 @@ class Computation:
         self._check_acyclic()
         self._check_times()
         self._local_states: tuple[tuple[Mapping[str, object], ...], ...] | None = None
-        self._analysis: dict[str, object] = {}
+        self._analysis = None
 
-    def analysis(self, clock_backend: str = "list"):
-        """The lazily computed, cached :class:`IntervalAnalysis` of this run.
-
-        One analysis is cached per ``clock_backend`` (``"list"`` or
-        ``"packed"``); both produce bit-identical interval structure and
-        differ only in vector-clock representation.
-        """
-        cached = self._analysis.get(clock_backend)
-        if cached is None:
+    def analysis(self):
+        """The lazily computed, cached :class:`IntervalAnalysis` of this run."""
+        if self._analysis is None:
             from repro.trace.intervals import IntervalAnalysis
 
-            cached = IntervalAnalysis(self, clock_backend=clock_backend)
-            self._analysis[clock_backend] = cached
-        return cached
+            self._analysis = IntervalAnalysis(self)
+        return self._analysis
 
     # ------------------------------------------------------------------
     # Basic accessors

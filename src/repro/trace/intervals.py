@@ -17,7 +17,9 @@ For a process with events ``e_0 .. e_{T-1}`` the local states are
   sender's tag;
 * every interval contains at least one local state.
 
-:class:`IntervalAnalysis` computes, in one topological sweep:
+:class:`IntervalAnalysis` computes, in one ``O(E)`` wake-list sweep
+(each process's events run straight through; a process parks at a
+receive whose send has not run yet and wakes when it does):
 
 * the interval index of every local state,
 * the full-width (N-component) vector clock of every interval,
@@ -30,15 +32,12 @@ paper's vector-clock properties.
 
 from __future__ import annotations
 
+import bisect
 from array import array
 from typing import Sequence
 
 from repro.clocks.dependence import Dependence
-from repro.clocks.vector import (
-    PackedVectorClock,
-    VectorClock,
-    require_clock_backend,
-)
+from repro.clocks.vector import VectorClock
 from repro.common.errors import CutError
 from repro.common.types import Pid, StateRef
 from repro.trace.computation import Computation
@@ -53,23 +52,10 @@ class IntervalAnalysis:
     Construction is ``O(E * N)`` where ``E`` is the total event count.
     Prefer :meth:`Computation.analysis` (lazily cached) over constructing
     this directly when repeated queries are needed.
-
-    ``clock_backend`` selects the vector-clock representation the sweep
-    builds: ``"list"`` (the default, immutable
-    :class:`~repro.clocks.vector.VectorClock` per interval) or
-    ``"packed"`` (:class:`~repro.clocks.vector.PackedVectorClock` over
-    one in-place ``array('q')`` working buffer per process).  The two
-    backends produce bit-identical interval vectors, send tags and
-    dependences; packed construction allocates O(1) objects per
-    communication event instead of O(1) validated clocks per tick *and*
-    merge, which is what makes n >= 256 cells tractable.
     """
 
-    def __init__(
-        self, computation: Computation, clock_backend: str = "list"
-    ) -> None:
+    def __init__(self, computation: Computation) -> None:
         self._computation = computation
-        self._clock_backend = require_clock_backend(clock_backend)
         n = computation.num_processes
         # Per process: interval index of each local state s_0..s_T.
         self._state_intervals: list[list[int]] = []
@@ -86,65 +72,30 @@ class IntervalAnalysis:
         self._num_intervals = [
             1 + computation.processes[pid].communication_count for pid in range(n)
         ]
-        self._vectors: list[list[VectorClock] | list[PackedVectorClock]] = [
-            [] for _ in range(n)
-        ]
+        self._vectors: list[list[VectorClock]] = [[] for _ in range(n)]
         self._send_tags: dict[int, int] = {}
         self._recv_deps: list[list[tuple[int, Dependence]]] = [[] for _ in range(n)]
-        if self._clock_backend == "packed":
-            self._sweep_packed()
-        else:
-            self._sweep()
+        self._sweep()
 
     # ------------------------------------------------------------------
     # Construction sweep
     # ------------------------------------------------------------------
     def _sweep(self) -> None:
-        comp = self._computation
-        n = comp.num_processes
-        current_vec = [VectorClock.initial(pid, n) for pid in range(n)]
-        # Message id -> sender's full vector at the send (the Fig. 2 tag).
-        tag_vectors: dict[int, VectorClock] = {}
-        for pid, idx in comp.topological_order():
-            event = comp.event(pid, idx)
-            if event.kind is EventKind.INTERNAL:
-                continue
-            # The vector held during the interval this comm event closes.
-            self._vectors[pid].append(current_vec[pid])
-            if event.kind is EventKind.SEND:
-                assert event.msg_id is not None
-                tag_vectors[event.msg_id] = current_vec[pid]
-                self._send_tags[event.msg_id] = current_vec[pid][pid]
-                current_vec[pid] = current_vec[pid].tick(pid)
-            else:  # RECV
-                assert event.msg_id is not None and event.peer is not None
-                tag = tag_vectors[event.msg_id]
-                self._recv_deps[pid].append(
-                    (idx, Dependence(event.peer, tag[event.peer]))
-                )
-                current_vec[pid] = current_vec[pid].merged(tag).tick(pid)
-        # The final (open) interval of every process.
-        for pid in range(n):
-            self._vectors[pid].append(current_vec[pid])
-            assert len(self._vectors[pid]) == self._num_intervals[pid]
-
-    def _sweep_packed(self) -> None:
-        """The packed fast path: same sweep, zero clock-object churn.
+        """Compute every interval vector, send tag and dependence.
 
         One owned ``array('q')`` working buffer per process is mutated
         in place (O(1) tick, single-pass merge); the per-interval frozen
-        snapshot is a C-level buffer copy adopted without re-validation.
+        vector is a C-level buffer copy adopted without re-validation.
 
-        Scheduling differs from :meth:`_sweep` but the *values* cannot:
-        interval vectors, send tags and dependences are determined by
+        Interval vectors, send tags and dependences are determined by
         the causal structure alone (vector-clock merge is confluent), so
-        instead of a global heap-ordered linearization this sweep runs
+        instead of a global heap-ordered linearization the sweep runs
         each process's event list straight through, parking a process
         that reaches a receive whose tag is not yet known and waking it
-        when the matching send executes — ``O(E)`` total, no
-        ``topological_order()`` heap and no per-event double indexing.
-        Bit-identical results are pinned by the parity suite in
-        ``tests/integration``.
+        when the matching send executes: ``O(E)`` total, with no
+        ``topological_order()`` heap.  ``tests/trace/test_intervals.py``
+        cross-checks the result against the event-level Fidge–Mattern
+        clocks of :mod:`repro.trace.causality`.
         """
         comp = self._computation
         n = comp.num_processes
@@ -159,13 +110,13 @@ class IntervalAnalysis:
         vectors = self._vectors
         send_tags = self._send_tags
         recv_deps = self._recv_deps
-        trusted = PackedVectorClock._trusted
+        trusted = VectorClock._trusted
         internal = EventKind.INTERNAL
         send_kind = EventKind.SEND
         # Message id -> the frozen snapshot of the sender's vector at
         # the send (shared with the closing interval's stored vector, so
         # tags carry no extra copies).
-        tag_vectors: dict[int, PackedVectorClock] = {}
+        tag_vectors: dict[int, VectorClock] = {}
         # Message id -> the pid parked waiting for that send's tag.
         blocked_on: dict[int, int] = {}
         ptr = [0] * n
@@ -227,11 +178,6 @@ class IntervalAnalysis:
         """The analyzed computation."""
         return self._computation
 
-    @property
-    def clock_backend(self) -> str:
-        """The vector-clock representation this analysis was built with."""
-        return self._clock_backend
-
     def num_intervals(self, pid: Pid) -> int:
         """Number of communication intervals on process ``pid``."""
         return self._num_intervals[pid]
@@ -244,22 +190,15 @@ class IntervalAnalysis:
         """The contiguous range of local-state indices inside ``interval``."""
         self._check_interval(pid, interval)
         intervals = self._state_intervals[pid]
-        # Intervals are 1-based and contiguous over a sorted list; binary
-        # search would work, but interval counts are small enough that a
-        # cached linear index is not worth the complexity here.
-        import bisect
-
         lo = bisect.bisect_left(intervals, interval)
         hi = bisect.bisect_right(intervals, interval)
         return range(lo, hi)
 
-    def vector(self, pid: Pid, interval: int) -> VectorClock | PackedVectorClock:
+    def vector(self, pid: Pid, interval: int) -> VectorClock:
         """The full-width vector clock of interval ``(pid, interval)``.
 
         Width is ``N``; detection algorithms over a predicate subset
-        project it with :meth:`projected_vector`.  The concrete class
-        follows :attr:`clock_backend`; both expose the same interface
-        and identical component values.
+        project it with :meth:`projected_vector`.
         """
         self._check_interval(pid, interval)
         return self._vectors[pid][interval - 1]

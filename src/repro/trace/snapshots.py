@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from repro.clocks.dependence import Dependence
-from repro.clocks.vector import PackedVectorClock, VectorClock
+from repro.clocks.vector import VectorClock
 from repro.common.types import Pid
 from repro.trace.computation import Computation
 
@@ -52,13 +52,11 @@ class VCSnapshot:
     ``vector`` is full width (``N``); detectors over a predicate subset
     project it.  ``state_index`` is the local state at which the snapshot
     was emitted (used for replay timing), ``time`` its optional timestamp.
-    The vector's concrete class follows the ``clock_backend`` the stream
-    was extracted with; both expose identical values and projections.
     """
 
     pid: Pid
     interval: int
-    vector: VectorClock | PackedVectorClock
+    vector: VectorClock
     state_index: int
     time: float | None = None
 
@@ -89,7 +87,7 @@ class GCPSnapshot:
 
     pid: Pid
     interval: int
-    vector: VectorClock | PackedVectorClock
+    vector: VectorClock
     sends: Mapping[Pid, int]
     recvs: Mapping[Pid, int]
     state_index: int
@@ -104,7 +102,6 @@ def emission_points(
     computation: Computation,
     pid: Pid,
     predicate: LocalStatePredicate,
-    clock_backend: str = "list",
 ) -> list[tuple[int, int]]:
     """Snapshot emission points for ``pid``: ``(interval, state_index)``.
 
@@ -112,12 +109,8 @@ def emission_points(
     state, at the first such state — exactly Fig. 2's ``firstflag``
     behaviour (the flag is set by every send/receive, i.e. at every
     interval boundary, and cleared on the first true evaluation).
-
-    ``clock_backend`` only picks which cached analysis to reuse — the
-    emission points themselves are backend-independent — so callers that
-    extract packed snapshot streams never build the list analysis too.
     """
-    analysis = computation.analysis(clock_backend)
+    analysis = computation.analysis()
     states = computation.local_states(pid)
     points: list[tuple[int, int]] = []
     last_emitted_interval = 0
@@ -135,14 +128,11 @@ def true_intervals(
     computation: Computation,
     pid: Pid,
     predicate: LocalStatePredicate,
-    clock_backend: str = "list",
 ) -> list[int]:
     """The intervals of ``pid`` in which ``predicate`` holds somewhere."""
     return [
         interval
-        for interval, _ in emission_points(
-            computation, pid, predicate, clock_backend
-        )
+        for interval, _ in emission_points(computation, pid, predicate)
     ]
 
 
@@ -156,18 +146,17 @@ def _event_time(computation: Computation, pid: Pid, state_index: int) -> float |
 def vc_snapshots(
     computation: Computation,
     predicates: Mapping[Pid, LocalStatePredicate],
-    clock_backend: str = "list",
 ) -> dict[Pid, list[VCSnapshot]]:
     """Vector-clock snapshot streams for every predicate process.
 
     Returns a FIFO-ordered list per pid in ``predicates``.
     """
-    analysis = computation.analysis(clock_backend)
+    analysis = computation.analysis()
     streams: dict[Pid, list[VCSnapshot]] = {}
     for pid, predicate in predicates.items():
         stream: list[VCSnapshot] = []
         for interval, state_index in emission_points(
-            computation, pid, predicate, clock_backend
+            computation, pid, predicate
         ):
             stream.append(
                 VCSnapshot(
@@ -186,7 +175,6 @@ def gcp_snapshots(
     computation: Computation,
     predicates: Mapping[Pid, LocalStatePredicate],
     channels: Sequence[tuple[Pid, Pid]],
-    clock_backend: str = "list",
 ) -> dict[Pid, list[GCPSnapshot]]:
     """Snapshot streams carrying channel counters for GCP detection.
 
@@ -195,7 +183,7 @@ def gcp_snapshots(
     its cumulative send counters for channels it sources and receive
     counters for channels it terminates.
     """
-    analysis = computation.analysis(clock_backend)
+    analysis = computation.analysis()
     from repro.trace.events import EventKind
 
     out_channels: dict[Pid, list[Pid]] = {}
@@ -223,7 +211,7 @@ def gcp_snapshots(
                     recv_counts[event.peer][interval] += 1
         stream: list[GCPSnapshot] = []
         for interval, state_index in emission_points(
-            computation, pid, predicate, clock_backend
+            computation, pid, predicate
         ):
             stream.append(
                 GCPSnapshot(
@@ -243,7 +231,6 @@ def gcp_snapshots(
 def dd_snapshots(
     computation: Computation,
     predicates: Mapping[Pid, LocalStatePredicate],
-    clock_backend: str = "list",
 ) -> dict[Pid, list[DDSnapshot]]:
     """Direct-dependence snapshot streams for **all** ``N`` processes.
 
@@ -256,14 +243,14 @@ def dd_snapshots(
     previous snapshot's emission state, in receive order.
     """
     streams: dict[Pid, list[DDSnapshot]] = {}
-    analysis = computation.analysis(clock_backend)
+    analysis = computation.analysis()
     for pid in range(computation.num_processes):
         predicate = predicates.get(pid, _always_true)
         deps = analysis.receive_dependences(pid)  # (recv_event_index, dep)
         stream: list[DDSnapshot] = []
         dep_pos = 0
         for interval, state_index in emission_points(
-            computation, pid, predicate, clock_backend
+            computation, pid, predicate
         ):
             flushed: list[Dependence] = []
             # A receive at event index r produces local state r+1; its

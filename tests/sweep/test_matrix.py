@@ -153,49 +153,6 @@ class TestSweepMatrix:
             load_matrix(path)
 
 
-class TestClockBackendAxis:
-    def test_packed_suffixes_the_group(self):
-        plain = SweepCell(detector="token_vc", num_processes=4,
-                          sends_per_process=8)
-        packed = SweepCell(detector="token_vc", num_processes=4,
-                           sends_per_process=8, clock_backend="packed")
-        assert packed.group == plain.group + "/packed"
-        assert "/packed" not in plain.group  # old baselines unchanged
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="clock_backend"):
-            SweepCell(detector="token_vc", num_processes=4,
-                      sends_per_process=4, clock_backend="numpy")
-        with pytest.raises(ConfigurationError, match="clock backends"):
-            small_matrix(clock_backends=("numpy",))
-
-    def test_packed_requires_online_detector(self):
-        with pytest.raises(ConfigurationError, match="offline"):
-            SweepCell(detector="reference", num_processes=4,
-                      sends_per_process=4, clock_backend="packed")
-
-    def test_backend_axis_multiplies_online_cells_only(self):
-        matrix = small_matrix(
-            detectors=("token_vc", "reference"),
-            clock_backends=("list", "packed"),
-            seeds=(0,),
-        )
-        by_detector = {}
-        for cell in matrix.cells():
-            by_detector.setdefault(cell.detector, []).append(
-                cell.clock_backend
-            )
-        assert sorted(by_detector["token_vc"]) == ["list", "packed"]
-        assert by_detector["reference"] == ["list"]
-        assert matrix.num_cells == 3 * len(matrix.seeds)
-
-    def test_backend_axis_round_trips(self):
-        matrix = small_matrix(clock_backends=("list", "packed"))
-        clone = SweepMatrix.from_dict(matrix.to_dict())
-        assert clone == matrix
-        assert clone.clock_backends == ("list", "packed")
-
-
 class TestExclude:
     def test_excluded_corner_is_dropped(self):
         matrix = small_matrix(

@@ -82,6 +82,16 @@ class TestDetect:
         with pytest.raises(SystemExit, match="comma-separated"):
             main(["detect", str(trace_file), "--pids", "a,b"])
 
+    @pytest.mark.parametrize("pids", ["0,9", "-1", "3"])
+    def test_out_of_range_pids(self, trace_file, pids):
+        # The trace has 3 processes: a pid outside 0..2 is an input
+        # error (exit 1, one line), not a detector failure (exit 3).
+        with pytest.raises(SystemExit, match="out of range") as exc:
+            main(["detect", str(trace_file), f"--pids={pids}",
+                  "--detector", "token_vc"])
+        assert str(exc.value).startswith("error: --pids")
+        assert "\n" not in str(exc.value)
+
 
 class TestDetectJson:
     def test_machine_readable_verdict(self, trace_file, capsys):
@@ -426,6 +436,12 @@ class TestDefinitely:
         assert code in (0, 1)
         assert "definitely:" in out
 
+    @pytest.mark.parametrize("pids", ["0,9", "-1"])
+    def test_out_of_range_pids(self, trace_file, pids):
+        with pytest.raises(SystemExit, match="out of range") as exc:
+            main(["definitely", str(trace_file), f"--pids={pids}"])
+        assert str(exc.value).startswith("error: --pids")
+
 
 class TestImportLog:
     LOG = (
@@ -562,68 +578,6 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert code == 3
         assert "injected crash" in captured.err
-
-
-class TestClockBackendCli:
-    def test_detect_packed_matches_list_verdict(self, trace_file, capsys):
-        reports = {}
-        for backend in ("list", "packed"):
-            code = main([
-                "detect", str(trace_file), "--detector", "token_vc",
-                "--clock-backend", backend, "--json",
-            ])
-            assert code == 0
-            reports[backend] = json.loads(capsys.readouterr().out)
-        assert reports["packed"]["detected"] == reports["list"]["detected"]
-        assert reports["packed"]["cut"] == reports["list"]["cut"]
-
-    def test_detect_packed_rejected_for_offline_detector(self, trace_file):
-        with pytest.raises(SystemExit, match="online detector"):
-            main([
-                "detect", str(trace_file), "--detector", "reference",
-                "--clock-backend", "packed",
-            ])
-
-    def test_detect_unknown_backend_rejected(self, trace_file):
-        with pytest.raises(SystemExit):
-            main([
-                "detect", str(trace_file), "--detector", "token_vc",
-                "--clock-backend", "numpy",
-            ])
-
-    def test_sweep_backend_axis_multiplies_cells(self, tmp_path, capsys):
-        out_file = tmp_path / "agg.json"
-        code = main([
-            "sweep", "--detectors", "token_vc,reference",
-            "--processes", "4", "--sends", "6", "--densities", "0",
-            "--plant-final-cut", "--clock-backends", "list,packed",
-            "--cache-dir", str(tmp_path / "c"),
-            "--out", str(out_file), "--quiet",
-        ])
-        assert code == 0
-        doc = json.loads(out_file.read_text())
-        groups = {cell["group"] for cell in doc["sweep"]["cells"]}
-        # token_vc doubles; offline reference stays on the list default.
-        assert len(doc["sweep"]["cells"]) == 3
-        assert any(group.endswith("/packed") for group in groups)
-        packed = [
-            cell for cell in doc["sweep"]["cells"]
-            if cell["group"].endswith("/packed")
-        ]
-        listed = [
-            cell for cell in doc["sweep"]["cells"]
-            if cell["cell"]["detector"] == "token_vc"
-            and not cell["group"].endswith("/packed")
-        ]
-        assert packed[0]["units"] == listed[0]["units"]
-
-    def test_sweep_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(SystemExit, match="clock backends"):
-            main([
-                "sweep", "--detectors", "token_vc", "--processes", "4",
-                "--sends", "6", "--clock-backends", "numpy",
-                "--cache-dir", str(tmp_path / "c"),
-            ])
 
 
 class TestDetectFailurePropagation:

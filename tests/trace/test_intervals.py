@@ -130,29 +130,57 @@ class TestHappenedBefore:
             a.vector(0, 0)
 
     def test_agrees_with_event_level_clocks(self):
-        """Interval-level hb must match event-level Fidge–Mattern hb:
-        (i, a) -> (j, b) iff the last event of a's closing... we check
-        via the generating events: interval a of i precedes interval b
-        of j iff some event whose post-state is in a (or the boundary
-        send closing a) happens before an event opening b."""
-        comp = random_computation(4, 6, seed=21)
+        """Every interval vector, derived independently from the
+        event-level Fidge–Mattern clocks, over all four generator
+        patterns, N up to 16 and several seeds.
+
+        Interval ``k`` of ``P_j`` opens at local state ``t``; the clock
+        of event ``t - 1`` counts, per ``P_i``, the ``c_i`` events of
+        ``P_i`` in its causal past.  For ``i != j`` the last of them is
+        a send, and the Fig. 2 vector holds the interval that send
+        closed: ``interval_of_state(i, c_i - 1)``, or 0 with no known
+        event.  Send tags are checked the same way.
+        """
+        for pattern in ("uniform", "ring", "client_server", "pairs"):
+            for n in (2, 4, 16):
+                for seed in range(6):
+                    case = (pattern, n, seed)
+                    comp = random_computation(n, 6, seed=seed, pattern=pattern)
+                    self._check_against_event_clocks(comp, case)
+
+    @staticmethod
+    def _check_against_event_clocks(comp, case):
+        n = comp.num_processes
         a = comp.analysis()
         clocks = event_vector_clocks(comp)
-        # Spot-check: for every message, sender's tagged interval
-        # precedes the interval opened by the receive.
+        for j in range(n):
+            for k in range(1, a.num_intervals(j) + 1):
+                t = a.states_in_interval(j, k).start
+                counts = clocks[j][t - 1] if t > 0 else [0] * n
+                expected = [
+                    a.interval_of_state(i, counts[i] - 1) if counts[i] else 0
+                    for i in range(n)
+                ]
+                expected[j] = k
+                assert a.vector(j, k).components == tuple(expected), (case, j, k)
         for rec in comp.messages.values():
             send_interval = a.send_tag(rec.msg_id)
+            assert send_interval == a.interval_of_state(
+                rec.sender, rec.send_index
+            ), case
+            # The send's interval precedes the one its receive opens,
+            # at interval and at event granularity.
             opened = a.interval_of_state(rec.receiver, rec.recv_index + 1)
             assert a.happened_before(
                 StateRef(rec.sender, send_interval),
                 StateRef(rec.receiver, opened),
-            )
+            ), case
             assert happened_before_events(
                 comp,
                 (rec.sender, rec.send_index),
                 (rec.receiver, rec.recv_index),
                 clocks,
-            )
+            ), case
 
 
 class TestDirectDependence:
