@@ -45,29 +45,24 @@ from typing import TYPE_CHECKING, Any
 from repro.common.errors import ConfigurationError
 from repro.common.types import WORD_BITS
 from repro.detect.base import (
-    GREEN,
     MONITOR_PREFIX,
-    RED,
     TOKEN_KIND,
     DetectionReport,
-    app_name,
     monitor_name,
     outcome_label,
 )
 from repro.detect.service.registry import PredicateRegistry
 from repro.detect.stack import (
     AdaptiveRetryPolicy,
-    ReliableFeeder,
     ReliableInjector,
     RetryPolicy,
-    StackGlue,
     TokenFrame,
     harden,
 )
-from repro.detect.token_vc import TokenVCMonitor, VCToken, candidate_feed_items
+from repro.detect.token_vc import SlotGlue, SlotMachine, TokenRun, VCToken
 from repro.simulation.actors import Actor
 from repro.simulation.instrumentation import MetricsBoard
-from repro.simulation.kernel import Kernel, SimulationResult
+from repro.simulation.kernel import SimulationResult
 from repro.simulation.network import ChannelModel
 from repro.trace.computation import Computation
 from repro.trace.cuts import Cut
@@ -107,63 +102,36 @@ class _PredDone:
     def size_bits(self) -> int:
         return WORD_BITS * (2 + len(self.cut or ()))
 
+    def copy(self) -> "_PredDone":
+        return self  # immutable: sharing it is a copy
 
-class _PredMachine:
-    """One predicate's Fig. 3 state on one service monitor.
 
-    Plain mutable object stored in a persisted monitor attribute, so
-    (like every transport buffer) it survives a crash/restart.  The
-    ``cursor`` indexes the monitor's shared candidate buffer;
-    ``accepted`` is the §3 persisted acceptance used for crash-resumed
-    and re-presented visits.
+class _PredMachine(SlotMachine):
+    """One predicate's Fig. 3 machine on one service monitor.
+
+    A :class:`~repro.detect.token_vc.SlotMachine` plus the service's
+    bookkeeping, stored in a persisted monitor attribute so (like every
+    transport buffer) it survives a crash/restart.  The ``cursor``
+    indexes the monitor's shared candidate buffer; ``done`` holds the
+    verdict once this machine committed one.
     """
 
-    __slots__ = (
-        "pred_idx", "pred_id", "slot", "n", "itinerary", "proj", "routing",
-        "cursor", "accepted", "done", "detected", "detected_cut",
-        "detected_at", "aborted", "token_visits",
-    )
+    __slots__ = ("pred_idx", "itinerary", "proj", "cursor", "done")
 
     def __init__(
         self,
         pred_idx: int,
-        pred_id: str,
         slot: int,
-        n: int,
         itinerary: list[str],
         proj: tuple[int, ...],
         routing: str,
     ) -> None:
+        super().__init__(slot, len(itinerary), routing)
         self.pred_idx = pred_idx
-        self.pred_id = pred_id
-        self.slot = slot
-        self.n = n
         self.itinerary = itinerary
         self.proj = proj
-        self.routing = routing
         self.cursor = 0
-        self.accepted: tuple[int, ...] | None = None
-        self.done = False
-        self.detected = False
-        self.detected_cut: tuple[int, ...] | None = None
-        self.detected_at: float | None = None
-        self.aborted = False
-        self.token_visits = 0
-
-    def next_red_slot(self, token: VCToken) -> int:
-        """The §3 red-slot routing, per this machine's policy."""
-        reds = [j for j in range(self.n) if token.color[j] == RED]
-        if not reds:
-            raise AssertionError("no red slot despite not all green")
-        if self.routing == "first":
-            return reds[0]
-        if self.routing == "most_stale":
-            return min(reds, key=lambda j: (token.G[j], j))
-        for step in range(1, self.n + 1):  # cyclic
-            j = (self.slot + step) % self.n
-            if token.color[j] == RED:
-                return j
-        raise AssertionError("unreachable")
+        self.done: _PredDone | None = None
 
 
 class ServiceCore(Actor):
@@ -172,6 +140,8 @@ class ServiceCore(Actor):
     Only ever run hardened (the service *is* the stack); the composed
     :class:`ServiceMonitor` supplies the run loop.
     """
+
+    _leader = None
 
     def __init__(
         self,
@@ -183,8 +153,7 @@ class ServiceCore(Actor):
         coordinator: str,
     ) -> None:
         super().__init__(monitor_name(pid))
-        self._pid = pid
-        self._u_index = u_index
+        self._slot = u_index
         self._monitors = list(monitor_names)
         self._machines: dict[int, _PredMachine] = {
             m.pred_idx: m for m in machines
@@ -196,20 +165,15 @@ class ServiceCore(Actor):
         self.token_visits = 0
         self.aborted = False
 
-    def run(self):  # pragma: no cover - the composition always overrides
-        raise NotImplementedError(
-            "ServiceCore only runs as the hardened ServiceMonitor composition"
-        )
 
-
-class ServiceGlue(StackGlue):
+class ServiceGlue(SlotGlue):
     """Stack glue multiplexing N Fig. 3 machines over one endpoint.
 
     Differences from the single-predicate
-    :class:`~repro.detect.token_vc.TokenVCGlue`:
+    :class:`~repro.detect.token_vc.SlotGlue`:
 
     * frames are demuxed on ``pred_id`` to the owning machine, which
-      runs the identical visit logic with its own persisted acceptance;
+      runs the shared visit with its own persisted acceptance;
     * the candidate inbox drains into a shared persisted buffer read
       through per-machine cursors (a destructive pop would starve the
       other co-located predicates); buffered bits are released from the
@@ -224,38 +188,9 @@ class ServiceGlue(StackGlue):
         self._stream_released = 0
 
     # ------------------------------------------------------------------
-    def _snapshot_frame(self, frame: TokenFrame) -> TokenFrame:
-        body = frame.body
-        if isinstance(body, VCToken):
-            body = VCToken(G=list(body.G), color=list(body.color))
-        return TokenFrame(
-            frame.hop, body, frame.gid, frame.epoch, (), frame.pred_id
-        )
-
     def _on_token_accepted(self, frame: TokenFrame) -> None:
         if isinstance(frame.body, VCToken):
             self.token_visits += 1
-            machine = self._machines.get(frame.pred_id)
-            if machine is not None:
-                machine.token_visits += 1
-
-    def _fd_slot(self) -> int:
-        return self._u_index
-
-    def _fd_peers(self) -> dict[int, str]:
-        return {
-            i: name
-            for i, name in enumerate(self._monitors)
-            if i != self._u_index
-        }
-
-    def _halt_targets(self) -> list[str]:
-        peers = [m for m in self._monitors if m != self.name]
-        feeders = [
-            app_name(int(m.removeprefix(MONITOR_PREFIX)))
-            for m in self._monitors
-        ]
-        return peers + feeders
 
     def _stack_finished(self) -> bool:
         return (
@@ -302,15 +237,7 @@ class ServiceGlue(StackGlue):
                 return tuple(payload[u] for u in machine.proj)
             if self._inbox.exhausted:
                 return None
-            msg = yield from self._fd_receive(
-                f"{self.name} awaiting candidate"
-            )
-            if msg is None:
-                if self.halted:
-                    return "halt"
-                continue  # idle heartbeat tick
-            code = yield from self._dispatch(msg)
-            if code == "halt":
+            if (yield from self._await_candidate()) == "halt":
                 return "halt"
 
     # ------------------------------------------------------------------
@@ -326,42 +253,11 @@ class ServiceGlue(StackGlue):
             # straggler token for it is acked by the transport and
             # simply dropped at this layer.
             return "discard"
-        token: VCToken = body
-        slot = machine.slot
-        while token.color[slot] == RED:
-            if (
-                machine.accepted is not None
-                and machine.accepted[slot] > token.G[slot]
-            ):
-                # Re-presented bound already advanced past: replay the
-                # persisted acceptance (see TokenVCGlue._handle_frame).
-                token.G[slot] = machine.accepted[slot]
-                token.color[slot] = GREEN
-                yield self.work(1)
-                continue
-            entry = yield from self._machine_candidate(machine)
-            if entry == "halt":
-                return "halt"
-            if entry is None:
-                return "abort"
-            if entry[slot] > token.G[slot]:
-                token.G[slot] = entry[slot]
-                token.color[slot] = GREEN
-                machine.accepted = entry
-            yield self.work(1)
-        candidate = machine.accepted
-        if candidate is not None and token.G[slot] == candidate[slot]:
-            for j in range(machine.n):
-                if j == slot:
-                    continue
-                if candidate[j] >= token.G[j]:
-                    token.G[j] = candidate[j]
-                    token.color[j] = RED
-                yield self.work(1)
-        yield self.work(machine.n)
-        if token.all_green():
-            return "detected"
-        return "forward"
+        return (
+            yield from machine.visit(
+                body, lambda: self._machine_candidate(machine)
+            )
+        )
 
     def _resolve_frame(self, frame: TokenFrame, code: str) -> None:
         # Atomic with the frame's retirement (no yields).
@@ -374,16 +270,17 @@ class ServiceGlue(StackGlue):
         machine = self._machines[frame.pred_id]
         token: VCToken = frame.body
         if code == "abort":
-            machine.aborted = True
             self.aborted = True
-            self._finish_machine(machine)
+            self._finish_machine(
+                machine, _PredDone(machine.pred_idx, False, None, None, True)
+            )
         elif code == "detected":
-            machine.detected = True
-            machine.detected_cut = tuple(token.G)
-            machine.detected_at = self.now
-            self._finish_machine(machine)
+            self._finish_machine(
+                machine,
+                _PredDone(machine.pred_idx, True, tuple(token.G), self.now, False),
+            )
         else:  # forward
-            target = machine.next_red_slot(token)
+            target = machine.next_red(token)
             self._begin_transfer(
                 machine.itinerary[target],
                 TokenFrame(
@@ -393,18 +290,11 @@ class ServiceGlue(StackGlue):
                 token.size_bits() + 2 * WORD_BITS,
             )
 
-    def _finish_machine(self, machine: _PredMachine) -> None:
+    def _finish_machine(self, machine: _PredMachine, done: _PredDone) -> None:
         """Commit a verdict: mark done, free buffer space, tell the
         coordinator (directly, or via a reliable done-notification)."""
-        machine.done = True
+        machine.done = done
         self._settle_stream_space()
-        done = _PredDone(
-            machine.pred_idx,
-            machine.detected,
-            machine.detected_cut,
-            machine.detected_at,
-            machine.aborted,
-        )
         if self.name == self._coordinator:
             self._resolved[machine.pred_idx] = done
         else:
@@ -583,14 +473,16 @@ class SharedCausalityDispatcher:
         **detector_options: object,
     ) -> None:
         registry.check_against(computation.num_processes)
-        if routing not in TokenVCMonitor.ROUTINGS:
-            raise ConfigurationError(
-                f"routing must be one of {TokenVCMonitor.ROUTINGS}, got {routing!r}"
-            )
+        SlotMachine.check_routing(routing)
         if "failure_detector" in detector_options and detector in MUX_DETECTORS:
             raise ConfigurationError(
                 "the multiplexed service manages its own membership; "
                 "failure_detector is not supported for mux detectors"
+            )
+        if faults is not None and faults.joins and detector in MUX_DETECTORS:
+            raise ConfigurationError(
+                "the multiplexed service has a fixed monitor set; join "
+                "events are not supported for mux detectors"
             )
         # Snapshot: registry mutations after construction don't affect this run.
         self._entries = list(registry.items())
@@ -616,68 +508,46 @@ class SharedCausalityDispatcher:
     # The multiplexed path (token_vc)
     # ------------------------------------------------------------------
     def _run_mux(self) -> ServiceReport:
-        comp = self._computation
         entries = self._entries
         total = len(entries)
         upids = tuple(sorted({p for _, wcp in entries for p in wcp.pids}))
         u_of = {pid: i for i, pid in enumerate(upids)}
-        names = [monitor_name(pid) for pid in upids]
-        coordinator = names[0]
-        retry = self._retry
-        if retry is None:
-            retry = AdaptiveRetryPolicy(seed=self._seed)
-
-        kernel = Kernel(
-            channel_model=self._channel_model,
-            seed=self._seed,
-            observers=self._observers,
-            faults=self._faults,
+        run = TokenRun(
+            self._computation, upids, self._predicate_map,
+            seed=self._seed, channel_model=self._channel_model,
+            observers=self._observers, faults=self._faults, hardened=True,
+            retry=self._retry, failure_detector=None,
         )
+        names = run.names
+        coordinator = names[0]
         # Per-predicate machine specs, indexed 1..P (tag 0 = untagged).
         machines_of: dict[int, list[_PredMachine]] = {pid: [] for pid in upids}
-        for idx, (pred_id, wcp) in enumerate(entries, start=1):
+        for idx, (_, wcp) in enumerate(entries, start=1):
             itinerary = [monitor_name(p) for p in wcp.pids]
             proj = tuple(u_of[p] for p in wcp.pids)
             for slot, pid in enumerate(wcp.pids):
                 machines_of[pid].append(
-                    _PredMachine(
-                        idx, pred_id, slot, wcp.n, itinerary, proj,
-                        self._routing,
-                    )
+                    _PredMachine(idx, slot, itinerary, proj, self._routing)
                 )
         monitors = [
-            ServiceMonitor(
+            run.add_actor(ServiceMonitor(
                 pid, u_index, names, machines_of[pid], total, coordinator,
-                retry=retry, failure_detector=None,
-            )
+                retry=run.retry, failure_detector=None,
+            ))
             for u_index, pid in enumerate(upids)
         ]
-        for mon in monitors:
-            kernel.add_actor(mon)
         # One shared feeder stream per union pid, union-projected.
-        items_by_pid = candidate_feed_items(comp, self._predicate_map, upids)
-        feeders = [
-            ReliableFeeder(
-                app_name(pid), monitor_name(pid), items_by_pid[pid],
-                self._spacing, retry,
-            )
-            for pid in upids
-        ]
-        for feeder in feeders:
-            kernel.add_actor(feeder)
-        injectors = []
-        for idx, (pred_id, wcp) in enumerate(entries, start=1):
+        items_by_pid = run.feed(self._spacing)
+        for idx, (_, wcp) in enumerate(entries, start=1):
             token = VCToken.initial(wcp.n)
-            injector = ReliableInjector(
+            run.add_actor(ReliableInjector(
                 monitor_name(wcp.pids[0]),
                 TokenFrame(1, token, 0, 0, (), idx),
                 token.size_bits() + 2 * WORD_BITS,
-                retry,
+                run.retry,
                 name=f"svc-injector-p{idx}",
-            )
-            injectors.append(injector)
-            kernel.add_actor(injector)
-        sim = kernel.run()
+            ))
+        sim = run.run()
 
         resolved = monitors[0]._resolved
         outcomes: dict[str, PredicateOutcome] = {}
@@ -702,7 +572,6 @@ class SharedCausalityDispatcher:
                 outcomes[pred_id] = PredicateOutcome(
                     pred_id, detected=False, aborted=done.aborted
                 )
-        participants = [*monitors, *feeders, *injectors]
         extras: dict[str, Any] = {
             "n_predicates": total,
             "union_width": len(upids),
@@ -717,10 +586,8 @@ class SharedCausalityDispatcher:
                     i in monitors[0]._machines and monitors[0]._machines[i].done
                 )
             ),
-            "gave_up": any(getattr(a, "gave_up", False) for a in participants),
-            "halt_incomplete": any(
-                getattr(a, "halt_incomplete", False) for a in participants
-            ),
+            "gave_up": run.any_participant("gave_up"),
+            "halt_incomplete": run.any_participant("halt_incomplete"),
             "hardened": True,
             "multiplexed": True,
         }
@@ -729,7 +596,7 @@ class SharedCausalityDispatcher:
             multiplexed=True,
             outcomes=outcomes,
             sim=sim,
-            metrics=kernel.metrics,
+            metrics=run.kernel.metrics,
             extras=extras,
         )
 

@@ -26,11 +26,16 @@ All of its state lives in persisted actor attributes, so a crash/restart
 re-enters ``run`` and resumes from wherever the persisted state says the
 protocol was.
 
-The same loop hosts multiplexed glues: the multi-predicate service's
-:class:`~repro.detect.service.dispatcher.ServiceGlue` demuxes each held
-frame on its ``pred_id`` tag to a per-predicate machine, so N registered
-predicates share one endpoint, one run loop, and one candidate stream —
-``_handle_frame``/``_resolve_frame`` never assumed one token per host.
+The vector-clock detectors share one glue as well:
+:class:`~repro.detect.token_vc.SlotGlue` runs the one Fig. 3 visit,
+:meth:`~repro.detect.token_vc.SlotMachine.visit`.  It is registered for
+both the §3 monitor and the §3.5 group monitor, and the §3.5 leader's
+glue extends it with its own frame handling.  The multi-predicate
+service's :class:`~repro.detect.service.dispatcher.ServiceGlue` extends
+it to demux each held frame on its ``pred_id`` tag to a per-predicate
+machine, so N registered predicates share one endpoint, one run loop,
+and one candidate stream — ``_handle_frame``/``_resolve_frame`` never
+assumed one token per host.  A composed class takes its core's module.
 """
 
 from __future__ import annotations
@@ -231,7 +236,7 @@ def harden(core: type, *, glue: type | None = None, name: str | None = None) -> 
     composed = type(
         name or f"Hardened{core.__name__}",
         (glue, StackedMonitor, core),
-        {"__module__": glue.__module__, "__doc__": glue.__doc__},
+        {"__module__": core.__module__, "__doc__": glue.__doc__},
     )
     _COMPOSED[(core, glue)] = composed
     return composed

@@ -25,7 +25,7 @@ perfect failure detector plus coordinated takeover):
   ``elect`` responds with its own (most advanced) frame, so the
   regenerated token continues from the live state; its now-stale frames
   are discarded on receipt everywhere.  Monitors replay their persisted
-  ``_accepted`` candidate when a regenerated token re-presents an
+  ``accepted`` candidate when a regenerated token re-presents an
   already-satisfied bound, so re-visits consume no fresh candidates and
   the detected cut is unchanged — elimination bounds are monotone, and
   every bound a stale token established was valid.

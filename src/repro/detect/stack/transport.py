@@ -1036,7 +1036,7 @@ class ReliableEndpoint:
     def _next_candidate(self):
         """Yield until the next in-order candidate (or end of trace).
 
-        Returns ``(payload, size_bits)``, or ``None`` once the stream is
+        Returns the candidate payload, or ``None`` once the stream is
         exhausted, or the string ``"halt"`` if the protocol was halted
         while waiting.
         """
@@ -1044,19 +1044,22 @@ class ReliableEndpoint:
             entry = self._inbox.pop()
             if entry is not None:
                 self.metrics.adjust_space(-entry[1])
-                return entry
+                return entry[0]
             if self._inbox.exhausted:
                 return None
-            msg = yield from self._fd_receive(
-                f"{self.name} awaiting candidate"
-            )
-            if msg is None:
-                if self.halted:
-                    return "halt"  # halt arrived during a detector tick
-                continue  # idle heartbeat tick
-            code = yield from self._dispatch(msg)
-            if code == "halt":
+            if (yield from self._await_candidate()) == "halt":
                 return "halt"
+
+    def _await_candidate(self):
+        """Receive and dispatch one message while a candidate is awaited.
+
+        Returns ``"halt"`` once the protocol was halted (possibly during
+        an idle failure-detector tick, which receives nothing).
+        """
+        msg = yield from self._fd_receive(f"{self.name} awaiting candidate")
+        if msg is None:
+            return "halt" if self.halted else None
+        return (yield from self._dispatch(msg))
 
     # ------------------------------------------------------------------
     # Takeover-epoch state

@@ -13,7 +13,9 @@ simulated monitor actors:
 * The monitor holding the token (Fig. 3) advances its own candidate past
   ``G[i]``, then scans the accepted candidate's vector: any ``j`` with
   ``candidate[j] >= G[j]`` has ``(j, G[j]) -> (i, G[i])`` (vector-clock
-  property 2) and is repainted red with ``G[j] := candidate[j]``.
+  property 2) and is repainted red with ``G[j] := candidate[j]``.  That
+  visit is :meth:`SlotMachine.visit`, the one copy every token detector
+  (§3, §3.5 groups, the multi-predicate service) runs.
 * All green ⇒ the cut is consistent and the WCP is detected — and by
   Theorem 3.2 it is the *first* such cut.
 
@@ -29,7 +31,7 @@ candidate message ``n`` words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigurationError
@@ -37,6 +39,7 @@ from repro.common.types import WORD_BITS
 from repro.detect.base import (
     GREEN,
     HALT_KIND,
+    MONITOR_PREFIX,
     RED,
     TOKEN_KIND,
     DetectionReport,
@@ -59,7 +62,8 @@ from repro.detect.stack import (
 )
 from repro.predicates.conjunctive import WeakConjunctivePredicate
 from repro.simulation.actors import Actor
-from repro.simulation.kernel import Kernel
+from repro.simulation.effects import Work
+from repro.simulation.kernel import Kernel, SimulationResult
 from repro.simulation.network import ChannelModel
 from repro.simulation.replay import (
     CANDIDATE_KIND,
@@ -76,8 +80,12 @@ if TYPE_CHECKING:  # annotation-only: cores stay decoupled from the fault layer
 
 __all__ = [
     "VCToken",
+    "SlotMachine",
+    "SlotMonitor",
+    "SlotGlue",
     "TokenVCMonitor",
     "HardenedTokenVCMonitor",
+    "TokenRun",
     "candidate_feed_items",
     "detect",
 ]
@@ -139,14 +147,26 @@ class VCToken:
         """True iff every slot is green (detection condition)."""
         return all(c == GREEN for c in self.color)
 
+    def copy(self) -> "VCToken":
+        """An independent copy (a hardened receiver mutates its own, so
+        the sender's retransmission copy stays pristine)."""
+        return VCToken(G=list(self.G), color=list(self.color))
 
-class TokenVCMonitor(Actor):
-    """The Fig. 3 monitor process for one predicate slot.
 
-    Exposes the detection outcome to the runner via attributes:
-    ``detected`` / ``detected_cut`` / ``detected_at`` on the declaring
-    monitor, ``aborted`` on a monitor that exhausted its candidates.
+class SlotMachine:
+    """The Fig. 3 visit and red-slot choice for one predicate slot.
+
+    The one copy of the §3 visit rule: the plain and hardened §3
+    monitors, the §3.5 group monitors and every per-predicate machine
+    of the multi-predicate service run it; they differ only in where
+    candidates come from and how a visit's outcome commits.  ``group``
+    restricts token travel to a §3.5 group's slots.  ``accepted`` is the
+    candidate this slot last accepted — a plain attribute of a plain
+    object, so a hardened host that stores the machine in an actor
+    attribute persists it across crash/restart.
     """
+
+    __slots__ = ("slot", "n", "routing", "group", "accepted")
 
     #: Token-routing policies for choosing which red slot receives the
     #: token next.  The paper leaves the choice open ("sends the token to
@@ -159,106 +179,221 @@ class TokenVCMonitor(Actor):
 
     def __init__(
         self,
+        slot: int,
+        n: int,
+        routing: str = "cyclic",
+        group: frozenset[int] | None = None,
+    ) -> None:
+        self.check_routing(routing)
+        self.slot = slot
+        self.n = n
+        self.routing = routing
+        self.group = group
+        self.accepted: tuple[int, ...] | None = None
+
+    @classmethod
+    def check_routing(cls, routing: str) -> None:
+        """Reject a routing policy outside :attr:`ROUTINGS`."""
+        if routing not in cls.ROUTINGS:
+            raise ConfigurationError(
+                f"routing must be one of {cls.ROUTINGS}, got {routing!r}"
+            )
+
+    def visit(self, token: VCToken, next_candidate):
+        """One (possibly crash-resumed) Fig. 3 visit over ``token``.
+
+        A generator yielding the visit's ``Work`` charges.
+        ``next_candidate()`` is a generator returning this slot's next
+        candidate vector, ``None`` at end of trace, or ``"halt"``.
+        Returns ``"halt"``, ``"abort"`` (end of trace while eliminated:
+        by Lemma 3.1(4) the WCP cannot hold), ``"detected"`` (all green;
+        never for a group slot — the §3.5 leader declares) or
+        ``"forward"``.  Safe to re-enter after a crash when the host's
+        candidate source is: every token mutation sits in the same
+        atomic block as the candidate pop or ``accepted`` write that
+        justified it, and the repaint loop is idempotent.
+        """
+        slot = self.slot
+        # Fig. 3 while-loop: advance own candidate past the eliminated G[i].
+        #
+        # The replay branch and the repaint guard below only fire on a
+        # token regenerated by a takeover election.  While the slot's
+        # token is the only one that visits it, its G[slot] never drops
+        # below ``accepted[slot]`` (bounds only grow), so a red slot
+        # always consumes a fresh candidate and repaints with it.
+        while token.color[slot] == RED:
+            accepted = self.accepted
+            if accepted is not None and accepted[slot] > token.G[slot]:
+                # A regenerated token re-presents a bound this slot
+                # already advanced past: replay the accepted candidate
+                # instead of consuming fresh ones, so re-visits leave
+                # the candidate stream where the first visit left it.
+                token.G[slot] = accepted[slot]
+                token.color[slot] = GREEN
+                yield Work(1)
+                continue
+            cand = yield from next_candidate()
+            if cand == "halt":
+                return "halt"
+            if cand is None:
+                return "abort"
+            if cand[slot] > token.G[slot]:
+                token.G[slot] = cand[slot]
+                token.color[slot] = GREEN
+                self.accepted = cand
+            yield Work(1)
+        candidate = self.accepted
+        # Fig. 3 for-loop: repaint every j whose current candidate
+        # happened before ours (vector-clock property 2) — only when the
+        # token's bound for this slot is the one ``candidate`` justified:
+        # on a regenerated token installed at a green slot the accepted
+        # candidate may predate the bound, and repainting with it could
+        # eliminate states it cannot see.
+        if candidate is not None and token.G[slot] == candidate[slot]:
+            for j in range(self.n):
+                if j == slot:
+                    continue
+                if candidate[j] >= token.G[j]:
+                    token.G[j] = candidate[j]
+                    token.color[j] = RED
+                yield Work(1)
+        # Scan for a red slot to forward the token to.
+        yield Work(self.n)
+        if self.group is None and token.all_green():
+            return "detected"
+        return "forward"
+
+    def next_red(self, token: VCToken) -> int | None:
+        """The red slot the token goes to next, per the routing policy.
+
+        With a ``group`` the search is cyclic within the group and
+        ``None`` means no group slot is red: back to the §3.5 leader.
+        """
+        group = self.group
+        reds = [
+            j
+            for j in range(self.n)
+            if token.color[j] == RED and (group is None or j in group)
+        ]
+        if not reds:
+            if group is not None:
+                return None
+            raise AssertionError("no red slot despite not all green")
+        if self.routing == "first":
+            return reds[0]
+        if self.routing == "most_stale":
+            return min(reds, key=lambda j: (token.G[j], j))
+        # cyclic: the first red slot after ours, wrapping around.
+        return next((j for j in reds if j > self.slot), reds[0])
+
+
+class SlotMonitor(Actor):
+    """A plain Fig. 3 monitor process: one :class:`SlotMachine` fed by
+    kernel receives.  Subclasses commit a visit's outcome in
+    :meth:`_conclude`."""
+
+    #: An extra actor this monitor halts and elects with (§3.5 leader).
+    _leader: str | None = None
+
+    def __init__(
+        self,
         pid: int,
         slot: int,
         monitor_names: list[str],
-        routing: str = "cyclic",
+        machine: SlotMachine,
     ) -> None:
         super().__init__(monitor_name(pid))
-        if routing not in self.ROUTINGS:
-            raise ConfigurationError(
-                f"routing must be one of {self.ROUTINGS}, got {routing!r}"
-            )
-        self._pid = pid
         self._slot = slot
         self._monitors = list(monitor_names)
-        self._n = len(monitor_names)
-        self._routing = routing
-        self.detected = False
-        self.detected_cut: tuple[int, ...] | None = None
-        self.detected_at: float | None = None
+        self._machine = machine
         self.aborted = False
         self.token_visits = 0
 
-    # ------------------------------------------------------------------
     def run(self):
         while True:
             msg = yield self.receive(TOKEN_KIND, HALT_KIND)
             if msg.kind == HALT_KIND:
                 return
-            finished = yield from self._handle_token(msg.payload)
-            if finished:
+            body = msg.payload
+            self.token_visits += 1
+            code = yield from self._machine.visit(
+                self._vc(body), self._receive_candidate
+            )
+            dest = self._conclude(body, code)
+            if dest is None:
+                others = [m for m in self._monitors if m != self.name]
+                if self._leader is not None:
+                    others.append(self._leader)
+                yield self.broadcast(others, None, kind=HALT_KIND, size_bits=1)
                 return
+            yield self.send(
+                dest, body, kind=TOKEN_KIND, size_bits=body.size_bits()
+            )
 
-    def _handle_token(self, token: VCToken):
-        """One token visit; returns True when the protocol is over."""
-        slot = self._slot
-        self.token_visits += 1
-        candidate: tuple[int, ...] | None = None
-        # Fig. 3 while-loop: advance own candidate past the eliminated G[i].
-        while token.color[slot] == RED:
-            cmsg = yield self.receive(CANDIDATE_KIND, END_OF_TRACE_KIND)
-            if cmsg.kind == END_OF_TRACE_KIND:
-                # No further candidate can exist for an eliminated state:
-                # by Lemma 3.1(4) the WCP cannot hold in this run.
-                self.aborted = True
-                yield self._halt_others()
-                return True
-            yield self.work(1)
-            cand = cmsg.payload
-            if cand[slot] > token.G[slot]:
-                token.G[slot] = cand[slot]
-                token.color[slot] = GREEN
-                candidate = cand
-        assert candidate is not None
-        # Fig. 3 for-loop: repaint every j whose current candidate
-        # happened before ours (vector-clock property 2).
-        for j in range(self._n):
-            if j == slot:
-                continue
-            yield self.work(1)
-            if candidate[j] >= token.G[j]:
-                token.G[j] = candidate[j]
-                token.color[j] = RED
-        # Scan for a red slot to forward the token to.
-        yield self.work(self._n)
-        if token.all_green():
+    def _vc(self, body) -> VCToken:
+        """The :class:`VCToken` a token message body carries."""
+        return body
+
+    def _receive_candidate(self):
+        msg = yield self.receive(CANDIDATE_KIND, END_OF_TRACE_KIND)
+        return None if msg.kind == END_OF_TRACE_KIND else msg.payload
+
+    def _conclude(self, body, code: str) -> str | None:
+        """Commit a finished visit's outcome.
+
+        Returns the actor the token goes to next, or ``None`` once this
+        monitor has ended the protocol (``detected`` / ``aborted`` set).
+        A plain method, so the hardened glue can commit it atomically
+        with the frame's retirement.
+        """
+        raise NotImplementedError
+
+
+class TokenVCMonitor(SlotMonitor):
+    """The Fig. 3 monitor process for one predicate slot.
+
+    Exposes the detection outcome to the runner via attributes:
+    ``detected`` / ``detected_cut`` / ``detected_at`` on the declaring
+    monitor, ``aborted`` on a monitor that exhausted its candidates.
+    """
+
+    #: The red-slot forwarding policies (see :attr:`SlotMachine.ROUTINGS`).
+    ROUTINGS = SlotMachine.ROUTINGS
+
+    def __init__(
+        self,
+        pid: int,
+        slot: int,
+        monitor_names: list[str],
+        routing: str = "cyclic",
+    ) -> None:
+        super().__init__(
+            pid, slot, monitor_names,
+            SlotMachine(slot, len(monitor_names), routing),
+        )
+        self.detected = False
+        self.detected_cut: tuple[int, ...] | None = None
+        self.detected_at: float | None = None
+
+    def _conclude(self, token: VCToken, code: str) -> str | None:
+        if code == "forward":
+            return self._monitors[self._machine.next_red(token)]
+        if code == "detected":
             self.detected = True
             self.detected_cut = tuple(token.G)
             self.detected_at = self.now
-            yield self._halt_others()
-            return True
-        target = self._next_red_slot(token)
-        yield self.send(
-            self._monitors[target], token, kind=TOKEN_KIND,
-            size_bits=token.size_bits(),
-        )
-        return False
-
-    def _next_red_slot(self, token: VCToken) -> int:
-        """Pick the red slot to forward the token to, per the routing."""
-        reds = [j for j in range(self._n) if token.color[j] == RED]
-        if not reds:
-            raise AssertionError("no red slot despite not all green")
-        if self._routing == "first":
-            return reds[0]
-        if self._routing == "most_stale":
-            return min(reds, key=lambda j: (token.G[j], j))
-        for step in range(1, self._n + 1):  # cyclic
-            j = (self._slot + step) % self._n
-            if token.color[j] == RED:
-                return j
-        raise AssertionError("unreachable")
-
-    def _halt_others(self):
-        others = [m for m in self._monitors if m != self.name]
-        return self.broadcast(others, None, kind=HALT_KIND, size_bits=1)
+        else:
+            self.aborted = True
+        return None
 
 
-class TokenVCGlue(StackGlue):
-    """Stack glue for the crash/loss-tolerant §3 monitor.
+class SlotGlue(StackGlue):
+    """Stack glue for the hardened :class:`SlotMonitor` s, and the base
+    of the §3.5 leader's and the service monitor's glue.
 
-    ``harden(TokenVCMonitor)`` composes this glue with the shared
+    Hosts provide ``_slot`` (their election slot), ``_monitors`` (the
+    itinerary) and ``_leader``; the visit and its commit run the host's
+    ``_machine`` and ``_conclude``.  ``harden(TokenVCMonitor)`` composes this glue with the shared
     :class:`~repro.detect.stack.StackedMonitor` run loop and the plain
     Fig. 3 core; the composition is semantically identical to
     :class:`TokenVCMonitor` — under any fault schedule with eventual
@@ -272,31 +407,22 @@ class TokenVCGlue(StackGlue):
       crash-swallowed token is regenerated from the sender's persisted
       copy;
     * a crash-restart re-enters the stack run loop, which resumes the
-      visit in progress from the held frame and the persisted
-      ``_accepted`` candidate (the Fig. 3 repaint loop is idempotent);
+      visit in progress from the held frame and the
+      :class:`SlotMachine`'s persisted ``accepted`` candidate (the
+      Fig. 3 repaint loop is idempotent);
     * with a :class:`~repro.detect.stack.FailureDetectorConfig`,
       permanent monitor death is survived too: the surviving monitors
       elect a takeover, regenerate the token under a new epoch, and
-      replay persisted ``_accepted`` candidates on re-visits so the
+      replay persisted ``accepted`` candidates on re-visits so the
       detected cut is unchanged.
+
+    The §3.5 group monitors compose the same glue; their frames are
+    keyed by the group id, so each group's token has its own hop
+    sequence.
     """
 
-    def _init_visit_state(self) -> None:
-        # The candidate accepted during the current visit, persisted so
-        # the repaint loop can resume after a crash mid-visit and so a
-        # re-visit by a regenerated token can replay it (see
-        # :mod:`repro.detect.stack.membership`).
-        self._accepted: tuple[int, ...] | None = None
-
-    # ------------------------------------------------------------------
     def _snapshot_frame(self, frame: TokenFrame) -> TokenFrame:
-        token: VCToken = frame.body
-        return TokenFrame(
-            frame.hop,
-            VCToken(G=list(token.G), color=list(token.color)),
-            frame.gid,
-            frame.epoch,
-        )
+        return replace(frame, body=frame.body.copy(), gossip=())
 
     def _on_token_accepted(self, frame: TokenFrame) -> None:
         self.token_visits += 1
@@ -305,91 +431,187 @@ class TokenVCGlue(StackGlue):
         return self._slot
 
     def _fd_peers(self) -> dict[int, str]:
-        return {
+        peers = {
             slot: name
             for slot, name in enumerate(self._monitors)
             if slot != self._slot
         }
+        if self._leader is not None:
+            # The leader participates at slot -1, so a live leader
+            # always initiates (and wins) takeover elections — only it
+            # can merge.
+            peers[-1] = self._leader
+        return peers
 
     def _halt_targets(self) -> list[str]:
-        peers = [m for m in self._monitors if m != self.name]
-        feeders = [app_name(int(m.removeprefix("mon-"))) for m in self._monitors]
-        return peers + feeders
-
-    def _resolve_frame(self, frame: TokenFrame, code: str) -> None:
-        token: VCToken = frame.body
-        if code == "abort":
-            self.aborted = True
-        elif code == "detected":
-            self.detected = True
-            self.detected_cut = tuple(token.G)
-            self.detected_at = self.now
-        else:  # forward
-            target = self._next_red_slot(token)
-            self._begin_transfer(
-                self._monitors[target],
-                TokenFrame(frame.hop + 1, token, frame.gid, frame.epoch),
-                token.size_bits() + WORD_BITS,
-            )
+        """Every election peer, then every monitor's feeder."""
+        feeders = [
+            app_name(int(m.removeprefix(MONITOR_PREFIX)))
+            for m in self._monitors
+        ]
+        return list(self._fd_peers().values()) + feeders
 
     def _handle_frame(self, frame: TokenFrame):
-        """One (possibly resumed) token visit over the held frame.
+        return (
+            yield from self._machine.visit(
+                self._vc(frame.body), self._next_candidate
+            )
+        )
 
-        Returns ``"halt"`` / ``"abort"`` / ``"detected"`` / ``"forward"``.
-        Safe to re-enter after a crash: every token mutation is in the
-        same atomic block as the inbox pop or persisted-attribute write
-        that justified it, and the repaint loop is idempotent.
-        """
-        token: VCToken = frame.body
-        slot = self._slot
-        while token.color[slot] == RED:
-            if (
-                self._accepted is not None
-                and self._accepted[slot] > token.G[slot]
-            ):
-                # A regenerated token re-presents a bound this monitor
-                # already advanced past: replay the persisted candidate
-                # instead of consuming fresh ones, so re-visits leave
-                # the candidate stream where the first visit left it.
-                token.G[slot] = self._accepted[slot]
-                token.color[slot] = GREEN
-                yield self.work(1)
-                continue
-            entry = yield from self._next_candidate()
-            if entry == "halt":
-                return "halt"
-            if entry is None:
-                # End of trace while eliminated: the WCP cannot hold.
-                return "abort"
-            cand = entry[0]
-            if cand[slot] > token.G[slot]:
-                token.G[slot] = cand[slot]
-                token.color[slot] = GREEN
-                self._accepted = cand
-            yield self.work(1)
-        candidate = self._accepted
-        # Repaint only when the token's bound for this slot is the one
-        # ``candidate`` justified — on a regenerated token installed at
-        # a green slot the persisted candidate may predate the bound,
-        # and repainting with it could eliminate states it cannot see.
-        if candidate is not None and token.G[slot] == candidate[slot]:
-            for j in range(self._n):
-                if j == slot:
-                    continue
-                if candidate[j] >= token.G[j]:
-                    token.G[j] = candidate[j]
-                    token.color[j] = RED
-                yield self.work(1)
-        yield self.work(self._n)
-        if token.all_green():
-            return "detected"
-        return "forward"
+    def _resolve_frame(self, frame: TokenFrame, code: str) -> None:
+        body = frame.body
+        dest = self._conclude(body, code)
+        if dest is not None:
+            self._begin_transfer(
+                dest,
+                TokenFrame(frame.hop + 1, body, frame.gid, frame.epoch),
+                body.size_bits() + WORD_BITS,
+            )
 
 
-register_glue(TokenVCMonitor, TokenVCGlue)
+register_glue(TokenVCMonitor, SlotGlue)
 
 #: The hardened §3 monitor: plain core + protocol stack, by composition.
 HardenedTokenVCMonitor = harden(TokenVCMonitor)
+
+
+class TokenRun:
+    """The scaffolding every token-detector run shares.
+
+    Builds the kernel, adds plain or hardened actors (:meth:`add`),
+    plain or reliable Fig. 2 candidate feeders over ``pids``
+    (:meth:`feed`) and the fault plan's joiners (:meth:`run`), and folds
+    the run into a :class:`DetectionReport` (:meth:`report`).  The
+    caller adds actors in its own order — the order fixes the kernel's
+    event sequence.
+    """
+
+    def __init__(
+        self,
+        computation: Computation,
+        pids: tuple[int, ...],
+        predicates,
+        *,
+        seed: int,
+        channel_model: ChannelModel | None,
+        observers: list | None,
+        faults: FaultPlan | None,
+        hardened: bool | None,
+        retry: RetryPolicy | AdaptiveRetryPolicy | None,
+        failure_detector: FailureDetectorConfig | None,
+    ) -> None:
+        self.computation = computation
+        self.pids = pids
+        self.predicates = predicates
+        self.faults = faults
+        self.hardened = (faults is not None) if hardened is None else hardened
+        if self.hardened and retry is None:
+            retry = AdaptiveRetryPolicy(seed=seed)
+        self.retry = retry
+        self.failure_detector = failure_detector
+        self.kernel = Kernel(
+            channel_model=channel_model, seed=seed, observers=observers,
+            faults=faults,
+        )
+        self.names = [monitor_name(pid) for pid in pids]
+        self.participants: list[Actor] = []
+        self.joiners: list = []
+
+    def add(self, core: type, *args, **kwargs):
+        """Add an actor of detection core ``core``, hardened when the
+        run is."""
+        if self.hardened:
+            actor = harden(core)(
+                *args, retry=self.retry,
+                failure_detector=self.failure_detector, **kwargs,
+            )
+        else:
+            actor = core(*args, **kwargs)
+        return self.add_actor(actor)
+
+    def add_actor(self, actor: Actor) -> Actor:
+        self.kernel.add_actor(actor)
+        self.participants.append(actor)
+        return actor
+
+    def feed(self, spacing: float) -> dict[int, list[FeedItem]]:
+        """One Fig. 2 candidate feeder per process; returns the fed
+        items by pid."""
+        items_by_pid = candidate_feed_items(
+            self.computation, self.predicates, self.pids
+        )
+        for pid in self.pids:
+            args = (app_name(pid), monitor_name(pid), items_by_pid[pid], spacing)
+            if self.hardened:
+                self.add_actor(ReliableFeeder(*args, self.retry))
+            else:
+                self.add_actor(SnapshotFeeder(*args))
+        return items_by_pid
+
+    def run(self) -> SimulationResult:
+        """Spawn the fault plan's joiners, then run to quiescence."""
+        self.joiners = spawn_joiners(
+            self.kernel, self.faults, self.names,
+            hardened=self.hardened, config=self.failure_detector,
+            retry=self.retry,
+        )
+        self.sim = self.kernel.run()
+        return self.sim
+
+    def token_hops(self, *also: str) -> int:
+        """Token messages sent by monitors and the actors named ``also``."""
+        return sum(
+            m.sent_by_kind.get(TOKEN_KIND, 0)
+            for name, m in self.kernel.metrics.actors().items()
+            if name.startswith(MONITOR_PREFIX) or name in also
+        )
+
+    def any_participant(self, flag: str) -> bool:
+        """Whether any participant raised the stack flag ``flag``."""
+        return any(getattr(a, flag, False) for a in self.participants)
+
+    def report(
+        self,
+        detector: str,
+        winner,
+        monitors: list[SlotMonitor],
+        extras: dict,
+    ) -> DetectionReport:
+        """The verdict off ``winner`` (``None``: not detected), with the
+        shared extras appended to ``extras`` and, for a degraded
+        hardened run, the partial cut the monitors committed to."""
+        aborted = any(m.aborted for m in monitors)
+        extras["aborted"] = aborted
+        extras["hardened"] = self.hardened
+        if self.hardened:
+            extras["gave_up"] = self.any_participant("gave_up")
+            extras["halt_incomplete"] = self.any_participant("halt_incomplete")
+            for counter in ("elections", "takeovers"):
+                extras[counter] = sum(
+                    getattr(a, counter, 0) for a in self.participants
+                )
+        if self.joiners:
+            extras["joiners"] = len(self.joiners)
+            extras["joined"] = sum(1 for j in self.joiners if j.joined)
+            extras["synced"] = sum(1 for j in self.joiners if j.synced)
+        degraded = winner is None and self.faults is not None and not aborted
+        if self.hardened and degraded:
+            extras.update(
+                partial_cut_extras(
+                    self.pids, [m._machine.accepted for m in monitors],
+                    self.sim.crashed,
+                )
+            )
+        return DetectionReport(
+            detector=detector,
+            detected=winner is not None,
+            cut=None if winner is None else Cut(self.pids, winner.detected_cut),
+            detection_time=None if winner is None else winner.detected_at,
+            sim=self.sim,
+            metrics=self.kernel.metrics,
+            extras=extras,
+            degraded=degraded,
+        )
 
 
 def detect(
@@ -424,115 +646,34 @@ def detect(
     against *permanent* monitor death — see ``docs/faults.md``).
     """
     wcp.check_against(computation.num_processes)
-    pids = wcp.pids
-    n = wcp.n
-    use_hardened = (faults is not None) if hardened is None else hardened
-    if use_hardened and retry is None:
-        retry = AdaptiveRetryPolicy(seed=seed)
-    kernel = Kernel(
-        channel_model=channel_model, seed=seed, observers=observers, faults=faults
+    run = TokenRun(
+        computation, wcp.pids, wcp.predicate_map(),
+        seed=seed, channel_model=channel_model,
+        observers=observers, faults=faults, hardened=hardened, retry=retry,
+        failure_detector=failure_detector,
     )
-    names = [monitor_name(pid) for pid in pids]
-    if use_hardened:
-        monitors = [
-            HardenedTokenVCMonitor(
-                pid, slot, names, routing=routing, retry=retry,
-                failure_detector=failure_detector,
-            )
-            for slot, pid in enumerate(pids)
-        ]
+    names = run.names
+    monitors = [
+        run.add(TokenVCMonitor, pid, slot, names, routing=routing)
+        for slot, pid in enumerate(wcp.pids)
+    ]
+    run.feed(spacing)
+    token = VCToken.initial(wcp.n)
+    if run.hardened:
+        run.add_actor(ReliableInjector(
+            names[0], TokenFrame(hop=1, body=token),
+            token.size_bits() + WORD_BITS, run.retry,
+        ))
     else:
-        monitors = [
-            TokenVCMonitor(pid, slot, names, routing=routing)
-            for slot, pid in enumerate(pids)
-        ]
-    for mon in monitors:
-        kernel.add_actor(mon)
-    items_by_pid = candidate_feed_items(computation, wcp.predicate_map(), pids)
-    feeders = []
-    for pid in pids:
-        items = items_by_pid[pid]
-        if use_hardened:
-            feeder = ReliableFeeder(
-                app_name(pid), monitor_name(pid), items, spacing, retry
-            )
-        else:
-            feeder = SnapshotFeeder(app_name(pid), monitor_name(pid), items, spacing)
-        feeders.append(feeder)
-        kernel.add_actor(feeder)
-    injector = None
-    if use_hardened:
-        token = VCToken.initial(n)
-        injector = ReliableInjector(
-            names[0],
-            TokenFrame(hop=1, body=token),
-            token.size_bits() + WORD_BITS,
-            retry,
-        )
-        kernel.add_actor(injector)
-    else:
-        token = VCToken.initial(n)
-        kernel.add_actor(TokenInjector(names[0], token, token.size_bits()))
-    joiners = spawn_joiners(
-        kernel, faults, names,
-        hardened=use_hardened, config=failure_detector, retry=retry,
-    )
-    sim = kernel.run()
-
-    winner = next((m for m in monitors if m.detected), None)
-    aborted = any(m.aborted for m in monitors)
-    actor_metrics = kernel.metrics.actors()
-    token_hops = sum(
-        m.sent_by_kind.get(TOKEN_KIND, 0)
-        for name, m in actor_metrics.items()
-        if name.startswith("mon-")
-    )
+        run.add_actor(TokenInjector(names[0], token, token.size_bits()))
+    run.run()
     extras = {
-        "token_hops": token_hops,
+        "token_hops": run.token_hops(),
         "token_visits": sum(m.token_visits for m in monitors),
         "candidates_sent": sum(
-            m.sent_by_kind.get(CANDIDATE_KIND, 0) for m in actor_metrics.values()
+            m.sent_by_kind.get(CANDIDATE_KIND, 0)
+            for m in run.kernel.metrics.actors().values()
         ),
-        "aborted": aborted,
-        "hardened": use_hardened,
     }
-    if use_hardened:
-        participants = [*monitors, *feeders, injector]
-        extras["gave_up"] = any(
-            getattr(a, "gave_up", False) for a in participants
-        )
-        extras["halt_incomplete"] = any(
-            getattr(a, "halt_incomplete", False) for a in participants
-        )
-        extras["elections"] = sum(m.elections for m in monitors)
-        extras["takeovers"] = sum(m.takeovers for m in monitors)
-    if joiners:
-        extras["joiners"] = len(joiners)
-        extras["joined"] = sum(1 for j in joiners if j.joined)
-        extras["synced"] = sum(1 for j in joiners if j.synced)
-    if winner is not None:
-        assert winner.detected_cut is not None
-        return DetectionReport(
-            detector="token_vc",
-            detected=True,
-            cut=Cut(pids, winner.detected_cut),
-            detection_time=winner.detected_at,
-            sim=sim,
-            metrics=kernel.metrics,
-            extras=extras,
-        )
-    degraded = faults is not None and not aborted
-    if use_hardened and degraded:
-        extras.update(
-            partial_cut_extras(
-                pids, [m._accepted for m in monitors], sim.crashed
-            )
-        )
-    return DetectionReport(
-        detector="token_vc",
-        detected=False,
-        sim=sim,
-        metrics=kernel.metrics,
-        extras=extras,
-        degraded=degraded,
-    )
+    winner = next((m for m in monitors if m.detected), None)
+    return run.report("token_vc", winner, monitors, extras)

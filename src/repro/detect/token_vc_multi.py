@@ -35,33 +35,26 @@ from repro.detect.base import (
     RED,
     TOKEN_KIND,
     DetectionReport,
-    app_name,
-    monitor_name,
-    partial_cut_extras,
 )
 from repro.detect.stack import (
     AdaptiveRetryPolicy,
     FailureDetectorConfig,
-    ReliableFeeder,
     RetryPolicy,
-    StackGlue,
     TokenFrame,
     harden,
     register_glue,
-    spawn_joiners,
 )
-from repro.detect.token_vc import VCToken, candidate_feed_items
+from repro.detect.token_vc import (
+    SlotGlue,
+    SlotMachine,
+    SlotMonitor,
+    TokenRun,
+    VCToken,
+)
 from repro.predicates.conjunctive import WeakConjunctivePredicate
 from repro.simulation.actors import Actor
-from repro.simulation.kernel import Kernel
 from repro.simulation.network import ChannelModel
-from repro.simulation.replay import (
-    CANDIDATE_KIND,
-    END_OF_TRACE_KIND,
-    SnapshotFeeder,
-)
 from repro.trace.computation import Computation
-from repro.trace.cuts import Cut
 
 if TYPE_CHECKING:  # annotation-only: cores stay decoupled from the fault layer
     from repro.simulation.faults import FaultPlan
@@ -90,8 +83,11 @@ class GroupToken:
         """Group tag plus the token vectors."""
         return WORD_BITS + self.token.size_bits()
 
+    def copy(self) -> "GroupToken":
+        return GroupToken(self.group, self.token.copy())
 
-class GroupMonitor(Actor):
+
+class GroupMonitor(SlotMonitor):
     """A Fig. 3 monitor restricted to in-group token travel.
 
     Identical to the single-token monitor except: the red-slot search
@@ -100,6 +96,8 @@ class GroupMonitor(Actor):
     by the leader.
     """
 
+    _leader = LEADER_NAME
+
     def __init__(
         self,
         pid: int,
@@ -107,66 +105,20 @@ class GroupMonitor(Actor):
         monitor_names: list[str],
         group_slots: frozenset[int],
     ) -> None:
-        super().__init__(monitor_name(pid))
-        self._pid = pid
-        self._slot = slot
-        self._monitors = list(monitor_names)
-        self._n = len(monitor_names)
-        self._group_slots = group_slots
-        self.aborted = False
-        self.token_visits = 0
+        super().__init__(
+            pid, slot, monitor_names,
+            SlotMachine(slot, len(monitor_names), group=group_slots),
+        )
 
-    def run(self):
-        while True:
-            msg = yield self.receive(TOKEN_KIND, HALT_KIND)
-            if msg.kind == HALT_KIND:
-                return
-            finished = yield from self._handle_token(msg.payload)
-            if finished:
-                return
+    def _vc(self, gtoken: GroupToken) -> VCToken:
+        return gtoken.token
 
-    def _handle_token(self, gtoken: GroupToken):
-        token = gtoken.token
-        slot = self._slot
-        self.token_visits += 1
-        candidate: tuple[int, ...] | None = None
-        while token.color[slot] == RED:
-            cmsg = yield self.receive(CANDIDATE_KIND, END_OF_TRACE_KIND)
-            if cmsg.kind == END_OF_TRACE_KIND:
-                self.aborted = True
-                yield self.broadcast(
-                    [m for m in self._monitors if m != self.name] + [LEADER_NAME],
-                    None,
-                    kind=HALT_KIND,
-                    size_bits=1,
-                )
-                return True
-            yield self.work(1)
-            cand = cmsg.payload
-            if cand[slot] > token.G[slot]:
-                token.G[slot] = cand[slot]
-                token.color[slot] = GREEN
-                candidate = cand
-        assert candidate is not None
-        for j in range(self._n):
-            if j == slot:
-                continue
-            yield self.work(1)
-            if candidate[j] >= token.G[j]:
-                token.G[j] = candidate[j]
-                token.color[j] = RED
-        yield self.work(self._n)
-        target = self._next_in_group_red(token)
-        dest = LEADER_NAME if target is None else self._monitors[target]
-        yield self.send(dest, gtoken, kind=TOKEN_KIND, size_bits=gtoken.size_bits())
-        return False
-
-    def _next_in_group_red(self, token: VCToken) -> int | None:
-        for step in range(1, self._n + 1):
-            j = (self._slot + step) % self._n
-            if j in self._group_slots and token.color[j] == RED:
-                return j
-        return None
+    def _conclude(self, gtoken: GroupToken, code: str) -> str | None:
+        if code == "abort":
+            self.aborted = True
+            return None
+        target = self._machine.next_red(gtoken.token)
+        return LEADER_NAME if target is None else self._monitors[target]
 
 
 class LeaderActor(Actor):
@@ -174,8 +126,14 @@ class LeaderActor(Actor):
 
     Maintains the merged candidate cut as ``(live, elim)`` per slot:
     ``live[i]`` is the current candidate from group(i)'s token (or None),
-    ``elim[i]`` the highest eliminated interval from any token.
+    ``elim[i]`` the highest eliminated interval from any token (states
+    ``<= elim[i]`` are eliminated; 0 = none).
     """
+
+    #: Election slot below every monitor's, so a live leader always
+    #: initiates (and wins) takeover elections — only it can merge.
+    _slot = -1
+    _leader = None
 
     def __init__(
         self,
@@ -188,173 +146,75 @@ class LeaderActor(Actor):
         self._group_of = group_of
         self._monitors = monitor_names
         self._n = len(monitor_names)
+        self._live: list[int | None] = [None] * self._n
+        self._elim: list[int] = [0] * self._n
         self.detected = False
         self.detected_cut: tuple[int, ...] | None = None
         self.detected_at: float | None = None
         self.rounds = 0
 
     def run(self):
-        n = self._n
-        live: list[int | None] = [None] * n
-        elim: list[int] = [0] * n  # states <= elim[i] are eliminated; 0 = none
         while True:
-            self.rounds += 1
-            red_slots = [i for i in range(n) if live[i] is None or live[i] <= elim[i]]
-            if not red_slots:
-                self.detected = True
-                self.detected_cut = tuple(live)  # type: ignore[arg-type]
-                self.detected_at = self.now
+            dispatch = self._round()
+            if dispatch is None:
                 yield self.broadcast(
                     self._monitors, None, kind=HALT_KIND, size_bits=1
                 )
                 return
-            red_groups = sorted({self._group_of[i] for i in red_slots})
-            for g in red_groups:
-                token = VCToken(G=[0] * n, color=[RED] * n)
-                for i in range(n):
-                    if live[i] is not None and live[i] > elim[i]:
-                        token.G[i] = live[i]
-                        token.color[i] = GREEN
-                    else:
-                        token.G[i] = elim[i]
-                        token.color[i] = RED
-                gtoken = GroupToken(g, token)
-                entry = min(i for i in red_slots if self._group_of[i] == g)
+            for dest, gtoken in dispatch:
                 yield self.send(
-                    self._monitors[entry],
-                    gtoken,
-                    kind=TOKEN_KIND,
-                    size_bits=gtoken.size_bits(),
+                    dest, gtoken, kind=TOKEN_KIND, size_bits=gtoken.size_bits()
                 )
-            outstanding = len(red_groups)
+            outstanding = len(dispatch)
             while outstanding:
                 msg = yield self.receive(TOKEN_KIND, HALT_KIND)
                 if msg.kind == HALT_KIND:
                     return
                 returned: GroupToken = msg.payload
-                yield self.work(n)
-                self._merge(returned, live, elim)
+                yield self.work(self._n)
+                self._merge(returned)
                 outstanding -= 1
 
-    def _merge(
-        self, gtoken: GroupToken, live: list[int | None], elim: list[int]
-    ) -> None:
+    def _round(self) -> list[tuple[str, GroupToken]] | None:
+        """Start a merge round over the merged cut.
+
+        Returns ``None`` when every slot holds a live candidate (the WCP
+        is detected at that cut), else one ``(entry monitor, refreshed
+        token)`` per group that still has a red slot.
+        """
+        n = self._n
+        live, elim = self._live, self._elim
+        self.rounds += 1
+        green = [live[i] is not None and live[i] > elim[i] for i in range(n)]
+        red_slots = [i for i in range(n) if not green[i]]
+        if not red_slots:
+            self.detected = True
+            self.detected_cut = tuple(live)  # type: ignore[arg-type]
+            self.detected_at = self.now
+            return None
+        dispatch = []
+        for g in sorted({self._group_of[i] for i in red_slots}):
+            token = VCToken(
+                [live[i] if green[i] else elim[i] for i in range(n)],
+                [GREEN if green[i] else RED for i in range(n)],
+            )
+            entry = min(i for i in red_slots if self._group_of[i] == g)
+            dispatch.append((self._monitors[entry], GroupToken(g, token)))
+        return dispatch
+
+    def _merge(self, gtoken: GroupToken) -> None:
         token = gtoken.token
+        live, elim = self._live, self._elim
         for i in range(self._n):
             if self._group_of[i] == gtoken.group:
-                # Authoritative candidate for this slot.
+                # Only the slot's own group carries its live candidate;
+                # every group's token bounds what is eliminated.
                 live[i] = token.G[i] if token.color[i] == GREEN else None
-                bound = token.G[i] if token.color[i] == RED else token.G[i] - 1
-                elim[i] = max(elim[i], bound)
-            else:
-                # Other groups can only eliminate.
-                bound = token.G[i] if token.color[i] == RED else token.G[i] - 1
-                elim[i] = max(elim[i], bound)
+            bound = token.G[i] if token.color[i] == RED else token.G[i] - 1
+            elim[i] = max(elim[i], bound)
 
 
-class GroupVCGlue(StackGlue):
-    """Stack glue for the crash/loss-tolerant §3.5 group monitor.
-
-    The in-group token travels in hop-numbered frames keyed by the group
-    id (each group's token has its own hop sequence), acked per hop and
-    retransmitted from the previous holder's persisted copy; candidates
-    arrive through the sequence-numbered inbox.  See
-    :class:`repro.detect.token_vc.TokenVCGlue` for the shared
-    crash-resume argument and for the takeover semantics when a
-    failure detector is configured.
-    """
-
-    def _init_visit_state(self) -> None:
-        self._accepted: tuple[int, ...] | None = None
-
-    # ------------------------------------------------------------------
-    def _snapshot_frame(self, frame: TokenFrame) -> TokenFrame:
-        gtoken: GroupToken = frame.body
-        return TokenFrame(
-            frame.hop,
-            GroupToken(
-                gtoken.group,
-                VCToken(G=list(gtoken.token.G), color=list(gtoken.token.color)),
-            ),
-            frame.gid,
-            frame.epoch,
-        )
-
-    def _on_token_accepted(self, frame: TokenFrame) -> None:
-        self.token_visits += 1
-
-    def _fd_slot(self) -> int:
-        return self._slot
-
-    def _fd_peers(self) -> dict[int, str]:
-        # The leader participates at slot -1, so a live leader always
-        # initiates (and wins) takeover elections — only it can merge.
-        peers = {
-            slot: name
-            for slot, name in enumerate(self._monitors)
-            if slot != self._slot
-        }
-        peers[-1] = LEADER_NAME
-        return peers
-
-    def _halt_targets(self) -> list[str]:
-        peers = [m for m in self._monitors if m != self.name]
-        feeders = [app_name(int(m.removeprefix("mon-"))) for m in self._monitors]
-        return peers + [LEADER_NAME] + feeders
-
-    def _resolve_frame(self, frame: TokenFrame, code: str) -> None:
-        if code == "abort":
-            self.aborted = True
-        else:  # forward: in group, or back to the leader
-            gtoken: GroupToken = frame.body
-            target = self._next_in_group_red(gtoken.token)
-            dest = LEADER_NAME if target is None else self._monitors[target]
-            self._begin_transfer(
-                dest,
-                TokenFrame(frame.hop + 1, gtoken, frame.gid, frame.epoch),
-                gtoken.size_bits() + WORD_BITS,
-            )
-
-    def _handle_frame(self, frame: TokenFrame):
-        """One (possibly crash-resumed) visit; ``"halt"``/``"abort"``/``"forward"``."""
-        token = frame.body.token
-        slot = self._slot
-        while token.color[slot] == RED:
-            if (
-                self._accepted is not None
-                and self._accepted[slot] > token.G[slot]
-            ):
-                # Replay the persisted acceptance for a regenerated
-                # token's re-visit (see token_vc._handle_frame).
-                token.G[slot] = self._accepted[slot]
-                token.color[slot] = GREEN
-                yield self.work(1)
-                continue
-            entry = yield from self._next_candidate()
-            if entry == "halt":
-                return "halt"
-            if entry is None:
-                return "abort"
-            cand = entry[0]
-            if cand[slot] > token.G[slot]:
-                token.G[slot] = cand[slot]
-                token.color[slot] = GREEN
-                self._accepted = cand
-            yield self.work(1)
-        candidate = self._accepted
-        if candidate is not None and token.G[slot] == candidate[slot]:
-            for j in range(self._n):
-                if j == slot:
-                    continue
-                if candidate[j] >= token.G[j]:
-                    token.G[j] = candidate[j]
-                    token.color[j] = RED
-                yield self.work(1)
-        yield self.work(self._n)
-        return "forward"
-
-
-class LeaderGlue(StackGlue):
+class LeaderGlue(SlotGlue):
     """Stack glue for the crash/loss-tolerant §3.5 leader.
 
     The merge state (``live`` / ``elim``) and the set of groups whose
@@ -371,35 +231,15 @@ class LeaderGlue(StackGlue):
     regenerates lost group tokens from the survivors' persisted frames,
     merges them as returned tokens (the merge is monotone, so a mid-tour
     token's bounds are valid) and re-dispatches on the next round.
+    The frame snapshot, election identity and halt targets are
+    :class:`~repro.detect.token_vc.SlotGlue`'s, over every monitor.
     """
 
     def _init_visit_state(self) -> None:
-        self._live: list[int | None] = [None] * self._n
-        self._elim: list[int] = [0] * self._n
         self._outstanding: set[int] = set()
 
-    # ------------------------------------------------------------------
-    def _snapshot_frame(self, frame: TokenFrame) -> TokenFrame:
-        gtoken: GroupToken = frame.body
-        return TokenFrame(
-            frame.hop,
-            GroupToken(
-                gtoken.group,
-                VCToken(G=list(gtoken.token.G), color=list(gtoken.token.color)),
-            ),
-            frame.gid,
-            frame.epoch,
-        )
-
-    def _fd_slot(self) -> int:
-        return -1
-
-    def _fd_peers(self) -> dict[int, str]:
-        return dict(enumerate(self._monitors))
-
-    def _halt_targets(self) -> list[str]:
-        feeders = [app_name(int(m.removeprefix("mon-"))) for m in self._monitors]
-        return list(self._monitors) + feeders
+    def _on_token_accepted(self, frame: TokenFrame) -> None:
+        """A returned token is merged, not visited."""
 
     def _idle_description(self) -> str:
         return f"{self.name} awaiting group tokens"
@@ -412,48 +252,28 @@ class LeaderGlue(StackGlue):
     def _resolve_frame(self, frame: TokenFrame, code: str) -> None:
         # Atomic: merge the returned token and retire it together.
         gtoken: GroupToken = frame.body
-        self._merge(gtoken, self._live, self._elim)
+        self._merge(gtoken)
         self._outstanding.discard(gtoken.group)
 
     def _stack_idle(self) -> bool:
         """Start a new merge round once every group token has returned."""
         if self._outstanding:
             return False
-        n = self._n
-        self.rounds += 1
-        red_slots = [
-            i
-            for i in range(n)
-            if self._live[i] is None or self._live[i] <= self._elim[i]
-        ]
-        if not red_slots:
-            self.detected = True
-            self.detected_cut = tuple(self._live)  # type: ignore[arg-type]
-            self.detected_at = self.now
+        dispatch = self._round()
+        if dispatch is None:
             return True
-        red_groups = sorted({self._group_of[i] for i in red_slots})
-        for g in red_groups:
-            token = VCToken(G=[0] * n, color=[RED] * n)
-            for i in range(n):
-                if self._live[i] is not None and self._live[i] > self._elim[i]:
-                    token.G[i] = self._live[i]
-                    token.color[i] = GREEN
-                else:
-                    token.G[i] = self._elim[i]
-                    token.color[i] = RED
-            gtoken = GroupToken(g, token)
-            entry = min(i for i in red_slots if self._group_of[i] == g)
-            last_hop = self._seen_hops.get(g, (0, 0))[1]
+        for dest, gtoken in dispatch:
+            last_hop = self._seen_hops.get(gtoken.group, (0, 0))[1]
             self._begin_transfer(
-                self._monitors[entry],
-                TokenFrame(last_hop + 1, gtoken, gid=g, epoch=self._epoch),
+                dest,
+                TokenFrame(last_hop + 1, gtoken, gid=gtoken.group, epoch=self._epoch),
                 gtoken.size_bits() + WORD_BITS,
             )
-        self._outstanding = set(red_groups)
+        self._outstanding = {gtoken.group for _, gtoken in dispatch}
         return True
 
 
-register_glue(GroupMonitor, GroupVCGlue)
+register_glue(GroupMonitor, SlotGlue)
 register_glue(LeaderActor, LeaderGlue)
 
 #: Hardened §3.5 actors: plain cores + protocol stack, by composition.
@@ -500,112 +320,26 @@ def detect(
     as in :func:`repro.detect.token_vc.detect`.
     """
     wcp.check_against(computation.num_processes)
-    pids = wcp.pids
-    n = wcp.n
-    use_hardened = (faults is not None) if hardened is None else hardened
-    if use_hardened and retry is None:
-        retry = AdaptiveRetryPolicy(seed=seed)
-    group_sets, group_of = _partition(n, groups)
-    kernel = Kernel(
-        channel_model=channel_model, seed=seed, observers=observers, faults=faults
+    run = TokenRun(
+        computation, wcp.pids, wcp.predicate_map(),
+        seed=seed, channel_model=channel_model,
+        observers=observers, faults=faults, hardened=hardened, retry=retry,
+        failure_detector=failure_detector,
     )
-    names = [monitor_name(pid) for pid in pids]
-    if use_hardened:
-        monitors = [
-            HardenedGroupMonitor(
-                pid, slot, names, group_sets[group_of[slot]], retry=retry,
-                failure_detector=failure_detector,
-            )
-            for slot, pid in enumerate(pids)
-        ]
-        leader: LeaderActor = HardenedLeader(
-            group_sets, group_of, names, retry=retry,
-            failure_detector=failure_detector,
-        )
-    else:
-        monitors = [
-            GroupMonitor(pid, slot, names, group_sets[group_of[slot]])
-            for slot, pid in enumerate(pids)
-        ]
-        leader = LeaderActor(group_sets, group_of, names)
-    for mon in monitors:
-        kernel.add_actor(mon)
-    kernel.add_actor(leader)
-    items_by_pid = candidate_feed_items(computation, wcp.predicate_map(), pids)
-    feeders = []
-    for pid in pids:
-        items = items_by_pid[pid]
-        if use_hardened:
-            feeder = ReliableFeeder(
-                app_name(pid), monitor_name(pid), items, spacing, retry
-            )
-        else:
-            feeder = SnapshotFeeder(app_name(pid), monitor_name(pid), items, spacing)
-        feeders.append(feeder)
-        kernel.add_actor(feeder)
-    joiners = spawn_joiners(
-        kernel, faults, names,
-        hardened=use_hardened, config=failure_detector, retry=retry,
-    )
-    sim = kernel.run()
-
-    aborted = any(m.aborted for m in monitors)
-    actor_metrics = kernel.metrics.actors()
+    group_sets, group_of = _partition(wcp.n, groups)
+    names = run.names
+    monitors = [
+        run.add(GroupMonitor, pid, slot, names, group_sets[group_of[slot]])
+        for slot, pid in enumerate(wcp.pids)
+    ]
+    leader = run.add(LeaderActor, group_sets, group_of, names)
+    run.feed(spacing)
+    run.run()
     extras = {
         "groups": len(group_sets),
         "rounds": leader.rounds,
-        "token_hops": sum(
-            m.sent_by_kind.get(TOKEN_KIND, 0)
-            for name, m in actor_metrics.items()
-            if name.startswith("mon-") or name == LEADER_NAME
-        ),
+        "token_hops": run.token_hops(LEADER_NAME),
         "token_visits": sum(m.token_visits for m in monitors),
-        "aborted": aborted,
-        "hardened": use_hardened,
     }
-    if use_hardened:
-        participants = [leader, *monitors, *feeders]
-        extras["gave_up"] = any(
-            getattr(a, "gave_up", False) for a in participants
-        )
-        extras["halt_incomplete"] = any(
-            getattr(a, "halt_incomplete", False) for a in participants
-        )
-        extras["elections"] = sum(
-            getattr(a, "elections", 0) for a in (leader, *monitors)
-        )
-        extras["takeovers"] = sum(
-            getattr(a, "takeovers", 0) for a in (leader, *monitors)
-        )
-        if joiners:
-            extras["joiners"] = len(joiners)
-            extras["joined"] = sum(1 for j in joiners if j.joined)
-            extras["synced"] = sum(1 for j in joiners if j.synced)
-    if leader.detected:
-        assert leader.detected_cut is not None
-        return DetectionReport(
-            detector="token_vc_multi",
-            detected=True,
-            cut=Cut(pids, leader.detected_cut),
-            detection_time=leader.detected_at,
-            sim=sim,
-            metrics=kernel.metrics,
-            extras=extras,
-        )
-    degraded = faults is not None and not aborted
-    if use_hardened and degraded:
-        extras.update(
-            partial_cut_extras(
-                pids,
-                [getattr(m, "_accepted", None) for m in monitors],
-                sim.crashed,
-            )
-        )
-    return DetectionReport(
-        detector="token_vc_multi",
-        detected=False,
-        sim=sim,
-        metrics=kernel.metrics,
-        extras=extras,
-        degraded=degraded,
-    )
+    winner = leader if leader.detected else None
+    return run.report("token_vc_multi", winner, monitors, extras)

@@ -99,7 +99,8 @@ class SimulationResult:
     still blocked on a receive; ``blocked`` maps those actors to the
     description of what they were waiting for.  ``faults`` summarizes
     injected failures (``None`` unless the kernel ran with a fault
-    plan); ``crashed`` names actors that were down when the run ended.
+    plan); ``crashed`` names actors that were down when the run ended,
+    whether crashed or departed through a ``leave`` event.
     """
 
     time: float
@@ -391,7 +392,7 @@ class Kernel:
         crashed = tuple(
             name
             for name, state in self._states.items()
-            if state.status is _Status.CRASHED
+            if state.status in (_Status.CRASHED, _Status.LEFT)
         )
         return SimulationResult(
             time=self._time,

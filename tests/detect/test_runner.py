@@ -94,3 +94,26 @@ class TestReportValidation:
             DetectionReport(
                 detector="x", detected=False, cut=Cut((0,), (1,))
             )
+
+
+class TestDepartedMonitors:
+    """A monitor that leaves is down when the run ends, exactly like a
+    permanently crashed one: a degraded run names its conjunct."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["token_vc", "token_vc_multi", "direct_dep", "direct_dep_parallel"],
+    )
+    def test_leave_names_the_departed_conjunct(self, name):
+        from repro.simulation.faults import FaultPlan
+
+        comp = random_computation(
+            3, 4, seed=2, predicate_density=0.3, plant_final_cut=True
+        )
+        wcp = WeakConjunctivePredicate.of_flags(range(3))
+        rep = run_detector(
+            name, comp, wcp, seed=2, faults=FaultPlan.parse("leave:mon-1:5")
+        )
+        assert rep.outcome == "degraded"
+        assert rep.extras["unobservable"] == [1]
+        assert "mon-1" in rep.sim.crashed

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.common import ConfigurationError
-from repro.detect import reference, token_vc
+from repro.detect import reference, run_detector, run_service, token_vc
 from repro.detect.token_vc import TokenVCMonitor
 from repro.predicates import WeakConjunctivePredicate
+from repro.simulation.faults import FaultPlan
 from repro.trace import random_computation, spiral_computation
 
 
@@ -45,3 +46,50 @@ class TestRoutingOptions:
             for routing in TokenVCMonitor.ROUTINGS
         }
         assert len(set(hops.values())) >= 2, hops
+
+
+class TestRoutingOffThePlainPath:
+    """Every routing policy through the hardened monitor and the
+    service's per-predicate machines, not only the plain monitor."""
+
+    @pytest.mark.parametrize("routing", TokenVCMonitor.ROUTINGS)
+    def test_hardened_under_loss_matches_reference(self, routing):
+        plan = FaultPlan.parse("drop:*:0.1")
+        for seed in range(5):
+            comp = random_computation(
+                5, 5, seed=seed, predicate_density=0.3,
+                plant_final_cut=(seed != 4),
+            )
+            wcp = WeakConjunctivePredicate.of_flags(range(5))
+            rep = token_vc.detect(
+                comp, wcp, seed=seed, routing=routing, faults=plan
+            )
+            ref = reference.detect(comp, wcp)
+            assert rep.extras["hardened"]
+            assert rep.detected == ref.detected, f"{routing} seed={seed}"
+            assert rep.cut == ref.cut, f"{routing} seed={seed}"
+
+    @pytest.mark.parametrize("routing", TokenVCMonitor.ROUTINGS)
+    def test_service_matches_reference_and_independent_runs(self, routing):
+        entries = [
+            ("left", WeakConjunctivePredicate.of_flags((0, 1, 2, 3))),
+            ("right", WeakConjunctivePredicate.of_flags((1, 3, 4))),
+        ]
+        for seed in range(4):
+            comp = random_computation(
+                5, 5, seed=seed, predicate_density=0.3, plant_final_cut=True
+            )
+            service = run_service(
+                "token_vc", comp, entries, seed=seed, routing=routing
+            )
+            assert service.multiplexed
+            for pred_id, wcp in entries:
+                out = service.outcomes[pred_id]
+                ref = reference.detect(comp, wcp)
+                solo = run_detector(
+                    "token_vc", comp, wcp, seed=seed, routing=routing,
+                    hardened=True,
+                )
+                assert out.detected == ref.detected, f"{routing} {pred_id}"
+                assert out.cut == ref.cut, f"{routing} {pred_id}"
+                assert out.cut == solo.cut, f"{routing} {pred_id}"

@@ -580,6 +580,25 @@ class TestSweepCommand:
         assert "injected crash" in captured.err
 
 
+class TestServiceFaults:
+    def test_join_events_exit_3_for_the_mux_service(
+        self, tmp_path, trace_file, capsys
+    ):
+        preds = tmp_path / "preds.json"
+        preds.write_text(json.dumps([
+            {"id": "a", "pids": [0, 1]}, {"id": "b", "pids": [1, 2]},
+        ]))
+        code = main([
+            "service", str(trace_file), "--predicates-file", str(preds),
+            "--faults", "join:mon-9:5",
+        ])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "join events" in captured.err
+
+
 class TestDetectFailurePropagation:
     def test_crashing_detector_exits_nonzero(
         self, trace_file, capsys, monkeypatch
