@@ -11,6 +11,13 @@ cross-process validation that individual events cannot:
 * optional event timestamps respect causality (a receive is never
   timestamped before its send).
 
+All of it runs at construction in ``O(E)`` for ``E`` events: two flat
+passes keyed by message id match sends to receives, and one wake-list
+walk (the same idea as :meth:`IntervalAnalysis._sweep
+<repro.trace.intervals.IntervalAnalysis._sweep>`) proves acyclicity.
+Per-event field rules (non-negative ``int`` ids and peers, numeric
+times) are checked earlier, by :class:`~repro.trace.events.Event`.
+
 The heavy per-interval analysis (vector clocks, dependences, candidate
 extraction) lives in :mod:`repro.trace.intervals`; the computation only
 caches the raw structure plus the message index.
@@ -18,7 +25,6 @@ caches the raw structure plus the message index.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -52,6 +58,10 @@ class Computation:
         If True, SENDs without a matching RECV are permitted (messages
         still in flight when the recorded run ends).  The paper's model
         assumes no message loss, so this defaults to False.
+
+    Raises :class:`InvalidComputationError` on construction when any
+    check listed in the module docstring fails; nothing is deferred to
+    :meth:`analysis`.
     """
 
     __slots__ = ("_processes", "_messages", "_local_states", "_analysis")
@@ -149,41 +159,45 @@ class Computation:
     # Validation
     # ------------------------------------------------------------------
     def _index_messages(self, allow_unreceived: bool) -> dict[int, MessageRecord]:
+        """Match every RECV to its SEND in two flat passes keyed by msg id."""
+        n = len(self._processes)
+        send_kind = EventKind.SEND
+        recv_kind = EventKind.RECV
         sends: dict[int, tuple[Pid, int, Pid]] = {}
         recvs: dict[int, tuple[Pid, int, Pid]] = {}
         for pid, trace in enumerate(self._processes):
             for idx, event in enumerate(trace.events):
-                if event.kind is EventKind.SEND:
-                    assert event.msg_id is not None and event.peer is not None
-                    if event.msg_id in sends:
+                kind = event.kind
+                if kind is send_kind:
+                    msg_id = event.msg_id
+                    dest = event.peer
+                    if msg_id in sends:
+                        raise InvalidComputationError(f"message {msg_id} sent twice")
+                    if dest == pid:
                         raise InvalidComputationError(
-                            f"message {event.msg_id} sent twice"
+                            f"P{pid} sends message {msg_id} to itself"
                         )
-                    if event.peer == pid:
+                    if not 0 <= dest < n:
                         raise InvalidComputationError(
-                            f"P{pid} sends message {event.msg_id} to itself"
+                            f"send m{msg_id}: destination P{dest} does not exist"
                         )
-                    if not 0 <= event.peer < len(self._processes):
+                    sends[msg_id] = (pid, idx, dest)
+                elif kind is recv_kind:
+                    msg_id = event.msg_id
+                    if msg_id in recvs:
                         raise InvalidComputationError(
-                            f"send m{event.msg_id}: destination P{event.peer} "
-                            f"does not exist"
+                            f"message {msg_id} received twice"
                         )
-                    sends[event.msg_id] = (pid, idx, event.peer)
-                elif event.kind is EventKind.RECV:
-                    assert event.msg_id is not None and event.peer is not None
-                    if event.msg_id in recvs:
-                        raise InvalidComputationError(
-                            f"message {event.msg_id} received twice"
-                        )
-                    recvs[event.msg_id] = (pid, idx, event.peer)
+                    recvs[msg_id] = (pid, idx, event.peer)
 
         messages: dict[int, MessageRecord] = {}
         for msg_id, (receiver, recv_index, claimed_sender) in recvs.items():
-            if msg_id not in sends:
+            send = sends.get(msg_id)
+            if send is None:
                 raise InvalidComputationError(
                     f"message {msg_id} received but never sent"
                 )
-            sender, send_index, dest = sends[msg_id]
+            sender, send_index, dest = send
             if dest != receiver:
                 raise InvalidComputationError(
                     f"message {msg_id} sent to P{dest} but received by P{receiver}"
@@ -196,50 +210,54 @@ class Computation:
             messages[msg_id] = MessageRecord(
                 msg_id, sender, send_index, receiver, recv_index
             )
-        if not allow_unreceived:
-            missing = set(sends) - set(recvs)
-            if missing:
-                raise InvalidComputationError(
-                    f"messages sent but never received: {sorted(missing)} "
-                    f"(pass allow_unreceived=True to permit in-flight messages)"
-                )
+        # Every RECV matched a distinct SEND, so a surplus SEND is unreceived.
+        if not allow_unreceived and len(sends) != len(messages):
+            missing = sorted(set(sends) - set(recvs))
+            raise InvalidComputationError(
+                f"messages sent but never received: {missing} "
+                f"(pass allow_unreceived=True to permit in-flight messages)"
+            )
         return messages
 
     def _check_acyclic(self) -> None:
-        """Kahn's algorithm over process-order + message edges."""
-        # Node key: (pid, event_index).  Edges: (pid,k) -> (pid,k+1) and
-        # send -> recv for each message.
-        indegree: dict[tuple[int, int], int] = {}
-        successors: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        """One ``O(E)`` wake-list walk over process order + message edges.
 
-        def add_edge(a: tuple[int, int], b: tuple[int, int]) -> None:
-            successors.setdefault(a, []).append(b)
-            indegree[b] = indegree.get(b, 0) + 1
-            indegree.setdefault(a, indegree.get(a, 0))
-
-        total = 0
-        for pid, trace in enumerate(self._processes):
-            total += len(trace.events)
-            for idx in range(len(trace.events)):
-                indegree.setdefault((pid, idx), 0)
-                if idx + 1 < len(trace.events):
-                    add_edge((pid, idx), (pid, idx + 1))
-        for record in self._messages.values():
-            add_edge(
-                (record.sender, record.send_index),
-                (record.receiver, record.recv_index),
-            )
-
-        ready = deque(node for node, deg in indegree.items() if deg == 0)
-        visited = 0
+        Each process's events run straight through; a process parks at a
+        RECV whose SEND has not run yet and wakes when that SEND runs.
+        Every process reaches its end iff happened-before is acyclic: on
+        a cycle each process is parked behind another one on it.
+        """
+        send_kind = EventKind.SEND
+        recv_kind = EventKind.RECV
+        events = [trace.events for trace in self._processes]
+        cursor = [0] * len(events)
+        sent: set[int] = set()
+        # Message id -> the pid parked at the RECV of that message.
+        parked: dict[int, int] = {}
+        ready = list(range(len(events)))
+        finished = 0
         while ready:
-            node = ready.popleft()
-            visited += 1
-            for succ in successors.get(node, ()):
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    ready.append(succ)
-        if visited != total:
+            pid = ready.pop()
+            events_p = events[pid]
+            end = len(events_p)
+            i = cursor[pid]
+            while i < end:
+                event = events_p[i]
+                kind = event.kind
+                if kind is send_kind:
+                    msg_id = event.msg_id
+                    sent.add(msg_id)
+                    waiter = parked.pop(msg_id, None)
+                    if waiter is not None:
+                        ready.append(waiter)
+                elif kind is recv_kind and event.msg_id not in sent:
+                    parked[event.msg_id] = pid
+                    break
+                i += 1
+            cursor[pid] = i
+            if i == end:
+                finished += 1
+        if finished != len(events):
             raise InvalidComputationError(
                 "computation contains a causal cycle (a message is received "
                 "before, in happened-before order, it was sent)"

@@ -31,6 +31,9 @@ from repro.common.types import Pid
 
 __all__ = ["EventKind", "Event", "ProcessTrace"]
 
+#: The frozen ``updates`` of every event that assigns no variable.
+EMPTY_UPDATES: Mapping[str, object] = MappingProxyType({})
+
 
 class EventKind(enum.Enum):
     """The three event kinds of the asynchronous message-passing model."""
@@ -54,17 +57,22 @@ class Event:
     kind:
         The event kind.
     msg_id:
-        For SEND/RECV, the globally unique message identifier; ``None``
-        for INTERNAL events.
+        For SEND/RECV, the globally unique message identifier, a
+        non-negative ``int``; ``None`` for INTERNAL events.
     peer:
-        For SEND, the destination process; for RECV, the sender; ``None``
-        for INTERNAL events.
+        For SEND, the destination process; for RECV, the sender; a
+        non-negative ``int``.  ``None`` for INTERNAL events.
     updates:
         Sparse variable assignments applied by this event (may be empty
-        for any kind — e.g. a SEND that changes no variables).
+        for any kind — e.g. a SEND that changes no variables).  Copied
+        and frozen on construction.
     time:
-        Optional simulated timestamp used by trace replay.  Not part of
-        the causal structure; purely a scheduling hint.
+        Optional simulated timestamp used by trace replay, an ``int`` or
+        ``float``.  Not part of the causal structure; purely a
+        scheduling hint.
+
+    Raises :class:`InvalidComputationError` when a field breaks these
+    rules; ``bool`` is not accepted where an ``int`` is required.
     """
 
     kind: EventKind
@@ -74,24 +82,44 @@ class Event:
     time: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is EventKind.INTERNAL:
-            if self.msg_id is not None or self.peer is not None:
+        kind = self.kind
+        msg_id = self.msg_id
+        peer = self.peer
+        if kind is EventKind.INTERNAL:
+            if msg_id is not None or peer is not None:
                 raise InvalidComputationError(
                     "internal events must not carry msg_id or peer"
                 )
         else:
-            if self.msg_id is None or self.peer is None:
+            if msg_id is None or peer is None:
                 raise InvalidComputationError(
-                    f"{self.kind.value} events require msg_id and peer"
+                    f"{kind.value} events require msg_id and peer"
                 )
-            if self.msg_id < 0:
+            # ``type(...) is int`` also rejects ``bool`` and ``1.0``.
+            if type(msg_id) is not int:
                 raise InvalidComputationError(
-                    f"msg_id must be >= 0, got {self.msg_id}"
+                    f"msg_id must be an int, got {msg_id!r}"
                 )
-            if self.peer < 0:
-                raise InvalidComputationError(f"peer must be >= 0, got {self.peer}")
-        # Freeze the updates mapping so the dataclass is deeply immutable.
-        object.__setattr__(self, "updates", MappingProxyType(dict(self.updates)))
+            if type(peer) is not int:
+                raise InvalidComputationError(f"peer must be an int, got {peer!r}")
+            if msg_id < 0:
+                raise InvalidComputationError(f"msg_id must be >= 0, got {msg_id}")
+            if peer < 0:
+                raise InvalidComputationError(f"peer must be >= 0, got {peer}")
+        time = self.time
+        if time is not None and type(time) is not float and type(time) is not int:
+            raise InvalidComputationError(
+                f"time must be an int or float, got {time!r}"
+            )
+        # Freeze the updates mapping so the dataclass is deeply immutable;
+        # every event given no updates shares one frozen empty mapping.
+        updates = self.updates
+        if updates is not EMPTY_UPDATES:
+            if type(updates) is dict and not updates:
+                frozen = EMPTY_UPDATES
+            else:
+                frozen = MappingProxyType(dict(updates))
+            object.__setattr__(self, "updates", frozen)
 
     # Convenience constructors -----------------------------------------
     @classmethod
@@ -99,7 +127,7 @@ class Event:
         cls, updates: Mapping[str, object] | None = None, time: float | None = None
     ) -> "Event":
         """An internal event, optionally updating variables."""
-        return cls(EventKind.INTERNAL, updates=updates or {}, time=time)
+        return cls(EventKind.INTERNAL, updates=updates or EMPTY_UPDATES, time=time)
 
     @classmethod
     def send(
@@ -110,7 +138,7 @@ class Event:
         time: float | None = None,
     ) -> "Event":
         """A send of message ``msg_id`` to process ``dest``."""
-        return cls(EventKind.SEND, msg_id, dest, updates or {}, time)
+        return cls(EventKind.SEND, msg_id, dest, updates or EMPTY_UPDATES, time)
 
     @classmethod
     def recv(
@@ -121,7 +149,7 @@ class Event:
         time: float | None = None,
     ) -> "Event":
         """A receive of message ``msg_id`` sent by process ``src``."""
-        return cls(EventKind.RECV, msg_id, src, updates or {}, time)
+        return cls(EventKind.RECV, msg_id, src, updates or EMPTY_UPDATES, time)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.kind is EventKind.INTERNAL:

@@ -12,11 +12,13 @@ from typing import Any
 
 from repro.common.errors import SerializationError
 from repro.trace.computation import Computation
-from repro.trace.events import Event, EventKind, ProcessTrace
+from repro.trace.events import EMPTY_UPDATES, Event, EventKind, ProcessTrace
 
 __all__ = ["computation_to_dict", "computation_from_dict", "dumps", "loads"]
 
 _FORMAT_VERSION = 1
+#: Serialized ``kind`` string -> event kind.
+_KINDS = {kind.value: kind for kind in EventKind}
 
 
 def computation_to_dict(computation: Computation) -> dict[str, Any]:
@@ -55,14 +57,19 @@ def computation_from_dict(data: dict[str, Any]) -> Computation:
         for proc in data["processes"]:
             events = []
             for entry in proc["events"]:
-                kind = EventKind(entry["kind"])
+                value = entry["kind"]
+                try:
+                    kind = _KINDS[value]
+                except (KeyError, TypeError):
+                    # Unknown or unhashable: let the enum word the error.
+                    kind = EventKind(value)
                 events.append(
                     Event(
-                        kind=kind,
-                        msg_id=entry.get("msg_id"),
-                        peer=entry.get("peer"),
-                        updates=entry.get("updates", {}),
-                        time=entry.get("time"),
+                        kind,
+                        entry.get("msg_id"),
+                        entry.get("peer"),
+                        entry.get("updates", EMPTY_UPDATES),
+                        entry.get("time"),
                     )
                 )
             traces.append(

@@ -92,6 +92,21 @@ class TestDetect:
         assert str(exc.value).startswith("error: --pids")
         assert "\n" not in str(exc.value)
 
+    def test_string_time_is_a_load_error(self, tmp_path):
+        # A non-numeric timestamp is malformed input (one error line),
+        # not a TypeError traceback from the send/recv time check.
+        path = tmp_path / "bad_time.json"
+        path.write_text(json.dumps({"version": 1, "processes": [
+            {"initial_vars": {}, "events": [
+                {"kind": "send", "msg_id": 0, "peer": 1, "time": "a"}]},
+            {"initial_vars": {}, "events": [
+                {"kind": "recv", "msg_id": 0, "peer": 0, "time": 1.0}]},
+        ]}))
+        with pytest.raises(SystemExit, match="time must be") as exc:
+            main(["detect", str(path)])
+        assert str(exc.value).startswith(f"error: cannot load trace {path}")
+        assert "\n" not in str(exc.value)
+
 
 class TestDetectJson:
     def test_machine_readable_verdict(self, trace_file, capsys):

@@ -11,7 +11,7 @@ import time
 from repro.detect import run_detector
 from repro.detect.strong import detect_definitely
 from repro.predicates import WeakConjunctivePredicate
-from repro.trace import random_computation, spiral_computation
+from repro.trace import dumps, loads, random_computation, spiral_computation
 
 
 def elapsed(fn):
@@ -49,3 +49,8 @@ class TestPolynomialBudgets:
         comp = random_computation(16, 128, seed=2)
         seconds = elapsed(comp.analysis)
         assert seconds < 5.0
+
+    def test_trace_ingest_linear(self):
+        text = dumps(random_computation(64, 128, seed=3))  # ~25k events
+        seconds = elapsed(lambda: loads(text))
+        assert seconds < 2.5

@@ -44,6 +44,27 @@ class TestEvent:
         with pytest.raises(InvalidComputationError):
             Event.send(0, dest=-1)
 
+    @pytest.mark.parametrize(
+        "msg_id, peer",
+        [(0.5, 1), (True, 1), (False, 1), ("0", 1), (0, 1.0), (0, True), (0, "1")],
+    )
+    @pytest.mark.parametrize("kind", [EventKind.SEND, EventKind.RECV])
+    def test_non_int_msg_id_or_peer_rejected(self, kind, msg_id, peer):
+        with pytest.raises(InvalidComputationError, match="must be an int"):
+            Event(kind, msg_id=msg_id, peer=peer)
+
+    @pytest.mark.parametrize("time", ["a", True, [1.0]])
+    def test_non_numeric_time_rejected(self, time):
+        with pytest.raises(InvalidComputationError, match="time must be"):
+            Event.internal(time=time)
+
+    @pytest.mark.parametrize("time", [None, 0, 3, 2.5])
+    def test_numeric_time_accepted(self, time):
+        assert Event.send(0, 1, time=time).time == time
+
+    def test_empty_updates_shared(self):
+        assert Event.internal().updates is Event.send(0, 1, {}).updates
+
     def test_updates_are_frozen(self):
         e = Event.internal({"x": 1})
         with pytest.raises(TypeError):
