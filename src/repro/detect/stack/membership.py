@@ -69,6 +69,7 @@ from repro.detect.stack.transport import (
     FeedJoin,
     TokenFrame,
 )
+from repro.simulation.effects import Receive
 
 __all__ = [
     "HEARTBEAT_KIND",
@@ -320,6 +321,9 @@ class FailureDetectorMixin:
         #: merged with the host's static ``_fd_peers`` everywhere the
         #: detector routes by slot.
         self._fd_extra_peers: dict[int, str] = {}
+        #: The idle receive per ``(description, tick_interval)``: built
+        #: once, since a monitor idles through it on every tick.
+        self._fd_idle_receives: dict[tuple[str, float], Receive] = {}
         self.elections = 0
         self.takeovers = 0
 
@@ -384,9 +388,13 @@ class FailureDetectorMixin:
             GOSSIP_KINDS if self._fd.membership == "gossip"
             else _HEARTBEAT_ONLY
         )
-        msg = yield self.receive_timeout(
-            timeout=self._fd.tick_interval, description=description
-        )
+        key = (description, self._fd.tick_interval)
+        idle = self._fd_idle_receives.get(key)
+        if idle is None:
+            idle = self._fd_idle_receives[key] = self.receive_timeout(
+                timeout=self._fd.tick_interval, description=description
+            )
+        msg = yield idle
         if msg is not None:
             if msg.kind not in passive:
                 self._fd_idle_rounds = 0

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-__all__ = ["Message", "Send", "Receive", "Sleep", "Work", "kind_is"]
+__all__ = ["KindIs", "Message", "Send", "Receive", "Sleep", "Work", "kind_is"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,7 +72,11 @@ class Receive:
 
     ``match`` is a predicate over :class:`Message`; ``None`` matches any
     message.  Among buffered matching messages the earliest-delivered one
-    is returned (ties broken by sequence number).  ``description`` is
+    is returned: the kernel stamps every arrival with a run-wide counter,
+    so arrival order is total.  A :func:`kind_is` matcher is served from
+    the heads of its kinds' mailbox queues without being called; any
+    other callable is tried on the buffered messages in arrival order.
+    Matchers must be pure functions of the message.  ``description`` is
     used in deadlock reports.
 
     With a ``timeout``, the receive resolves to ``None`` after that many
@@ -116,11 +120,19 @@ class Work:
             raise ValueError(f"units must be >= 0, got {self.units}")
 
 
-def kind_is(*kinds: str) -> Callable[[Message], bool]:
+class KindIs(frozenset):
+    """A ``Receive`` matcher accepting any of a fixed set of message kinds.
+
+    It is the set of kinds, so the kernel can serve the receive from its
+    per-kind mailbox queues, and it is callable like any other matcher.
+    """
+
+    __slots__ = ()
+
+    def __call__(self, message: Message) -> bool:
+        return message.kind in self
+
+
+def kind_is(*kinds: str) -> KindIs:
     """A ``Receive`` matcher accepting any of the given message kinds."""
-    allowed = frozenset(kinds)
-
-    def match(message: Message) -> bool:
-        return message.kind in allowed
-
-    return match
+    return KindIs(kinds)

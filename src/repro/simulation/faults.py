@@ -53,6 +53,10 @@ __all__ = [
 MATCH_ANY = "*"
 
 
+#: Uncorrupted copies, indexed by how many a rule delivers.
+_CLEAN: tuple[tuple[bool, ...], ...] = ((), (False,), (False, False))
+
+
 def _check_probability(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
@@ -89,6 +93,18 @@ class FaultRule:
             and (self.src is None or self.src == src)
             and (self.dest is None or self.dest == dest)
         )
+
+    def draw(self, rng: random.Random) -> tuple[bool, ...]:
+        """Decide the fate of one matching message: one ``corrupted``
+        flag per copy to deliver (see :meth:`FaultPlan.draw`)."""
+        if self.drop > 0.0 and rng.random() < self.drop:
+            return ()
+        copies = 1
+        if self.duplicate > 0.0 and rng.random() < self.duplicate:
+            copies = 2
+        if self.corrupt > 0.0:
+            return tuple(rng.random() < self.corrupt for _ in range(copies))
+        return _CLEAN[copies]
 
 
 @dataclass(frozen=True, slots=True)
@@ -328,6 +344,8 @@ class FaultPlan:
             raise ConfigurationError(
                 f"duplicate join actors in plan: {joined}"
             )
+        # First matching rule per (src, dest, kind); see rule_for.
+        object.__setattr__(self, "_rule_memo", {})
 
     def all_crashes(self) -> tuple[CrashEvent, ...]:
         """Explicit crashes plus every churn's expansion (kernel view)."""
@@ -349,22 +367,30 @@ class FaultPlan:
         delivery, ``[False, True]`` is a duplication whose second copy
         arrives corruption-marked.
         """
+        rule = self.rule_for(src, dest, kind)
+        if rule is None:
+            return [False]
+        return list(rule.draw(rng))
+
+    def rule_for(self, src: str, dest: str, kind: str) -> FaultRule | None:
+        """The first rule matching ``(src, dest, kind)``, or ``None``.
+
+        Memoised per triple: a plan is immutable, so each channel and
+        kind is resolved against the rule list once per plan.
+        """
+        key = (src, dest, kind)
+        memo = self._rule_memo  # type: ignore[attr-defined]
+        try:
+            return memo[key]
+        except KeyError:
+            pass
         rule = None
         for candidate in self.rules:
             if candidate.matches(src, dest, kind):
                 rule = candidate
                 break
-        if rule is None:
-            return [False]
-        if rule.drop > 0.0 and rng.random() < rule.drop:
-            return []
-        copies = 1
-        if rule.duplicate > 0.0 and rng.random() < rule.duplicate:
-            copies = 2
-        return [
-            rule.corrupt > 0.0 and rng.random() < rule.corrupt
-            for _ in range(copies)
-        ]
+        memo[key] = rule
+        return rule
 
     # ------------------------------------------------------------------
     # Construction helpers

@@ -135,6 +135,20 @@ class ActorMetrics:
         self.bits_received += size_bits
         self.received_by_kind[kind] = self.received_by_kind.get(kind, 0) + 1
 
+    def charge_handoff(self, kind: str, size_bits: int) -> None:
+        """Record a message consumed the instant it arrived (called by
+        the kernel).
+
+        Counts exactly as buffering it and consuming it at once would:
+        the space gauge's high-water mark sees it for that instant.
+        """
+        peak = self.buffered_bits + size_bits
+        if peak > self.buffered_bits_high_water:
+            self.buffered_bits_high_water = peak
+        self.messages_received += 1
+        self.bits_received += size_bits
+        self.received_by_kind[kind] = self.received_by_kind.get(kind, 0) + 1
+
     def charge_work(self, units: int) -> None:
         """Record work units (called by the kernel for ``Work`` effects)."""
         self.work_units += units

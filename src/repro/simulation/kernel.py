@@ -18,37 +18,51 @@ corruption-marking / crash-restart, see :mod:`.faults`) draws from a
 never perturbs the latency stream, and a fault schedule is reproducible
 from ``(seed, plan)`` alone.
 
-Envelope interning: every send allocates a :class:`Message`, the
-dominant allocation of a protocol run.  When nothing outside the
-kernel can retain an envelope — no observers (tracers keep ``Message``
-references) and ``work_time_scale == 0`` (``Work`` never suspends an
-actor mid-message) — consumed envelopes park in a graveyard and are
-recycled for later sends, flushed to the free pool only at event
-boundaries so the consuming actor's synchronous slice always sees its
-fields intact.  Actors must copy any envelope field they need past
-their next *blocking* yield (``Receive``/``Sleep``); payloads are
-never recycled.  The pool changes allocation behaviour only — message
-contents, ordering and metrics are byte-identical either way.
+Message fast path:
+
+* **Mailbox order.**  Each actor buffers messages in one FIFO queue per
+  kind, every entry stamped with a run-wide arrival counter.  A receive
+  returns the earliest-arrived buffered message its matcher accepts: a
+  :func:`~repro.simulation.effects.kind_is` receive compares only the
+  heads of its kinds' queues, ``match=None`` takes the earliest head of
+  all kinds, and any other callable is tried on every buffered message
+  in arrival order.  Crash and leave mailbox loss also walks arrival
+  order.
+* **Hand-off.**  An actor blocks only after no buffered message matched
+  its receive, and it stays blocked until a delivery or its timeout
+  resumes it, so a delivery its pending receive accepts goes straight
+  to it without touching the mailbox.  Metrics and observers see that
+  exactly as a buffered message consumed at once: the space gauge's
+  high-water mark includes it, and observers get DELIVERED then
+  CONSUMED.
+* **Envelopes** are allocated fresh for every send and never reused,
+  so actors and observers may keep references to delivered messages.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Generator
 
 from repro.common.errors import SimulationError
 from repro.common.rng import spawn_rng
 from repro.simulation.actors import Actor
-from repro.simulation.effects import Message, Receive, Send, Sleep, Work
+from repro.simulation.effects import KindIs, Message, Receive, Send, Sleep, Work
 from repro.simulation.faults import (
     CrashEvent,
     FaultPlan,
     LeaveEvent,
     PartitionEvent,
 )
-from repro.simulation.instrumentation import FaultSummary, MetricsBoard
+from repro.simulation.instrumentation import (
+    ActorMetrics,
+    FaultSummary,
+    MetricsBoard,
+)
 from repro.simulation.network import ChannelModel, FixedLatency
 from repro.simulation.observers import (
     ActorEvent,
@@ -72,12 +86,33 @@ class _Status(Enum):
     LEFT = "left"
 
 
+#: Exact effect types, checked before the ``isinstance`` fallback.
+_EFFECT_TYPES = frozenset({Send, Receive, list, Work, Sleep})
+#: The copies a send makes when no fault rule applies: one, uncorrupted.
+_ONE_COPY = (False,)
+
+
+def _effect_type(effect: object) -> type | None:
+    """The effect class the kernel handles ``effect`` as.
+
+    Subclasses map to their effect class and tuples to ``list``;
+    ``None`` means the effect is unsupported.
+    """
+    for base in (Send, list, tuple, Work, Sleep, Receive):
+        if isinstance(effect, base):
+            return list if base is tuple else base
+    return None
+
+
 @dataclass(slots=True)
 class _ActorState:
     actor: Actor
+    metrics: ActorMetrics
     gen: Generator | None = None
     status: _Status = _Status.NEW
-    mailbox: list[Message] = field(default_factory=list)
+    # Buffered messages: one FIFO of (arrival stamp, message) per kind.
+    # Only non-empty queues are kept, so an empty mailbox is an empty dict.
+    boxes: dict[str, deque[tuple[int, Message]]] = field(default_factory=dict)
     pending_receive: Receive | None = None
     # Incremented on every block; lets stale receive-timeout events be
     # recognized and ignored after the actor has already been resumed.
@@ -133,9 +168,9 @@ class Kernel:
     profiler:
         Optional :class:`~repro.obs.profiling.HotPathProfiler`; when set,
         the kernel wall-clocks its hot paths (event dispatch per action,
-        plus event scheduling) under ``kernel.*`` section names.  With
-        ``None`` (the default) the loop pays one ``is None`` check per
-        event and nothing else.
+        plus scheduling outside sends, which a dispatch already covers)
+        under ``kernel.*`` section names.  With ``None`` (the default)
+        the loop pays one ``is None`` check per event and nothing else.
     """
 
     def __init__(
@@ -161,18 +196,12 @@ class Kernel:
         self._queue: list[tuple[float, int, str, object]] = []
         self._time = 0.0
         self._seq = 0
+        self._arrivals = 0
         self._steps = 0
         self._messages_delivered = 0
         self._last_fifo_delivery: dict[tuple[str, str], float] = {}
         self.metrics = MetricsBoard()
         self._profiler = profiler
-        # Envelope interning (see module docstring): free envelopes ready
-        # for reuse, plus a graveyard of consumed envelopes that become
-        # free only at the next event boundary.  Active only while no
-        # observer can retain a Message and Work never suspends a slice.
-        self._pool: list[Message] = []
-        self._graveyard: list[Message] = []
-        self._intern = work_time_scale == 0 and not self._observers
         self._faults = faults
         self._fault_rng = spawn_rng(seed, "faults") if faults is not None else None
         self._live_partitions: list[PartitionEvent] = []
@@ -199,13 +228,8 @@ class Kernel:
 
         Observers are called synchronously at every message send,
         delivery and consumption; they must not mutate simulation state.
-        Registering one permanently disables envelope interning, since
-        observers may retain the ``Message`` objects they are handed.
         """
         self._observers.append(observer)
-        self._intern = False
-        self._pool.clear()
-        self._graveyard.clear()
 
     def _notify(self, phase, message: Message) -> None:
         if not self._observers:
@@ -245,12 +269,15 @@ class Kernel:
 
     def add_actor(self, actor: Actor) -> None:
         """Register an actor; it starts when :meth:`run` is next called."""
+        self._register(actor, self._time)
+
+    def _register(self, actor: Actor, at: float) -> None:
         if actor.name in self._states:
             raise SimulationError(f"duplicate actor name {actor.name!r}")
-        state = _ActorState(actor)
-        self._states[actor.name] = state
-        actor.attach(self.metrics.register(actor.name), lambda: self._time)
-        self._schedule(self._time, "start", actor.name)
+        metrics = self.metrics.register(actor.name)
+        self._states[actor.name] = _ActorState(actor, metrics)
+        actor.attach(metrics, lambda: self._time)
+        self._schedule(at, "start", actor.name)
 
     def spawn_at(self, at: float, actor: Actor) -> None:
         """Register an actor that joins the simulation at time ``at``.
@@ -264,12 +291,7 @@ class Kernel:
             raise SimulationError(
                 f"spawn_at({at}) is in the past (now={self._time})"
             )
-        if actor.name in self._states:
-            raise SimulationError(f"duplicate actor name {actor.name!r}")
-        state = _ActorState(actor)
-        self._states[actor.name] = state
-        actor.attach(self.metrics.register(actor.name), lambda: self._time)
-        self._schedule(at, "start", actor.name)
+        self._register(actor, at)
 
     def spawn_new(self, at: float, actor: Actor) -> None:
         """Register a *genuinely new* member joining the run at ``at``.
@@ -309,26 +331,22 @@ class Kernel:
         """
         queue = self._queue
         pop = heapq.heappop
+        deliver = self._deliver
+        profiler = self._profiler
+        max_steps = self._max_steps
         horizon = until if until is not None else float("inf")
         while queue:
             if queue[0][0] > horizon:
                 break
             self._steps += 1
-            if self._steps > self._max_steps:
+            if self._steps > max_steps:
                 raise SimulationError(
-                    f"exceeded max_steps={self._max_steps}; "
+                    f"exceeded max_steps={max_steps}; "
                     f"likely livelock in a protocol"
                 )
             time, _seq, action, payload = pop(queue)
             self._time = time
-            if self._graveyard:
-                # Event boundary: every actor slice from the previous
-                # event has returned, so consumed envelopes are free.
-                self._pool.extend(self._graveyard)
-                self._graveyard.clear()
-            _prof_t0 = (
-                self._profiler.start() if self._profiler is not None else 0.0
-            )
+            _prof_t0 = profiler.start() if profiler is not None else 0.0
             if action == "deliver":
                 # Delivers dominate every protocol run; dispatch them
                 # first and, off the profiler path, drain all remaining
@@ -336,23 +354,26 @@ class Kernel:
                 # scheduled by a delivery always carry a higher seq than
                 # anything queued, so draining in heap order preserves
                 # the (time, seq) total order exactly.
-                self._deliver(payload)  # type: ignore[arg-type]
-                if self._profiler is None:
+                deliver(payload)  # type: ignore[arg-type]
+                if profiler is None:
                     while (
                         queue
                         and queue[0][0] == time
                         and queue[0][2] == "deliver"
                     ):
                         self._steps += 1
-                        if self._steps > self._max_steps:
+                        if self._steps > max_steps:
                             raise SimulationError(
-                                f"exceeded max_steps={self._max_steps}; "
+                                f"exceeded max_steps={max_steps}; "
                                 f"likely livelock in a protocol"
                             )
-                        if self._graveyard:
-                            self._pool.extend(self._graveyard)
-                            self._graveyard.clear()
-                        self._deliver(pop(queue)[3])  # type: ignore[arg-type]
+                        deliver(pop(queue)[3])  # type: ignore[arg-type]
+            elif action == "timeout":
+                name, epoch = payload  # type: ignore[misc]
+                state = self._states[name]
+                if state.status is _Status.BLOCKED and state.block_epoch == epoch:
+                    state.pending_receive = None
+                    self._advance(state, None)
             elif action == "resume":
                 name, value, incarnation = payload  # type: ignore[misc]
                 state = self._states[name]
@@ -361,12 +382,6 @@ class Kernel:
                 self._advance(state, value)
             elif action == "start":
                 self._start(str(payload))
-            elif action == "timeout":
-                name, epoch = payload  # type: ignore[misc]
-                state = self._states[name]
-                if state.status is _Status.BLOCKED and state.block_epoch == epoch:
-                    state.pending_receive = None
-                    self._advance(state, None)
             elif action == "crash":
                 self._crash(payload)  # type: ignore[arg-type]
             elif action == "restart":
@@ -382,8 +397,8 @@ class Kernel:
                 self._notify_partition("healed", payload)  # type: ignore[arg-type]
             else:  # pragma: no cover - defensive
                 raise SimulationError(f"unknown action {action!r}")
-            if self._profiler is not None:
-                self._profiler.stop(f"kernel.{action}", _prof_t0)
+            if profiler is not None:
+                profiler.stop(f"kernel.{action}", _prof_t0)
         blocked = {
             name: (state.pending_receive.description if state.pending_receive else "")
             for name, state in self._states.items()
@@ -459,13 +474,12 @@ class Kernel:
         if state.gen is not None:
             state.gen.close()
             state.gen = None
-        for msg in state.mailbox:  # mailbox loss
-            state.actor.metrics.adjust_space(-msg.size_bits)  # type: ignore[union-attr]
+        # Mailbox loss, in arrival order.
+        for _stamp, msg in sorted(chain.from_iterable(state.boxes.values())):
+            state.metrics.adjust_space(-msg.size_bits)
             self.metrics.record_channel_fault(msg.src, msg.dest, "lost_to_crash")
             self._notify_fault(msg, lost=True)
-        if self._intern:
-            self._graveyard.extend(state.mailbox)
-        state.mailbox.clear()
+        state.boxes.clear()
         state.pending_receive = None
         state.block_epoch += 1
         state.incarnation += 1
@@ -498,7 +512,26 @@ class Kernel:
                 f"message {message.kind!r} addressed to unknown actor "
                 f"{message.dest!r}"
             )
-        if self._faults is not None and state.status in (
+        status = state.status
+        if status is _Status.BLOCKED:
+            receive = state.pending_receive
+            assert receive is not None
+            match = receive.match
+            if (
+                match is None
+                or (message.kind in match if type(match) is KindIs else match(message))
+            ):
+                # Hand-off: nothing buffered matched when the actor
+                # blocked, so this message is the one its receive takes.
+                self._messages_delivered += 1
+                state.metrics.charge_handoff(message.kind, message.size_bits)
+                if self._observers:
+                    self._notify(MessagePhase.DELIVERED, message)
+                    self._notify(MessagePhase.CONSUMED, message)
+                state.pending_receive = None
+                self._advance(state, message)
+                return
+        elif self._faults is not None and status in (
             _Status.CRASHED,
             _Status.LEFT,
         ):
@@ -507,32 +540,28 @@ class Kernel:
                 message.src, message.dest, "lost_to_crash"
             )
             self._notify_fault(message, lost=True)
-            if self._intern:
-                self._graveyard.append(message)
             return
         self._messages_delivered += 1
-        state.mailbox.append(message)
-        state.actor.metrics.adjust_space(message.size_bits)  # type: ignore[union-attr]
+        self._arrivals += 1
+        box = state.boxes.get(message.kind)
+        if box is None:
+            box = state.boxes[message.kind] = deque()
+        box.append((self._arrivals, message))
+        state.metrics.adjust_space(message.size_bits)
         if self._observers:
             self._notify(MessagePhase.DELIVERED, message)
-        if state.status is _Status.BLOCKED:
-            assert state.pending_receive is not None
-            msg = self._match_from_mailbox(state, state.pending_receive)
-            if msg is not None:
-                state.pending_receive = None
-                state.status = _Status.READY
-                self._advance(state, msg)
 
     # ------------------------------------------------------------------
     # Coroutine driving
     # ------------------------------------------------------------------
     def _advance(self, state: _ActorState, value: object) -> None:
-        assert state.gen is not None
+        gen = state.gen
+        assert gen is not None
         name = state.actor.name
         state.status = _Status.READY
         while True:
             try:
-                effect = state.gen.send(value)
+                effect = gen.send(value)
             except StopIteration:
                 state.status = _Status.FINISHED
                 return
@@ -540,36 +569,13 @@ class Kernel:
                 state.status = _Status.FINISHED
                 raise SimulationError(f"actor {name} raised: {exc!r}") from exc
             value = None
-            if isinstance(effect, Send):
-                self._handle_send(state, effect)
-            elif isinstance(effect, (list, tuple)):
-                for item in effect:
-                    if not isinstance(item, Send):
-                        raise SimulationError(
-                            f"actor {name} yielded a sequence containing "
-                            f"{type(item).__name__}; only Send lists are allowed"
-                        )
-                    self._handle_send(state, item)
-            elif isinstance(effect, Work):
-                state.actor.metrics.charge_work(effect.units)  # type: ignore[union-attr]
-                if self._work_time_scale > 0 and effect.units > 0:
-                    state.status = _Status.SLEEPING
-                    self._schedule(
-                        self._time + effect.units * self._work_time_scale,
-                        "resume",
-                        (name, None, state.incarnation),
-                    )
-                    return
-            elif isinstance(effect, Sleep):
-                state.status = _Status.SLEEPING
-                self._schedule(
-                    self._time + effect.duration,
-                    "resume",
-                    (name, None, state.incarnation),
-                )
-                return
-            elif isinstance(effect, Receive):
-                msg = self._match_from_mailbox(state, effect)
+            effect_type: type | None = type(effect)
+            if effect_type not in _EFFECT_TYPES:
+                effect_type = _effect_type(effect)
+            if effect_type is Send:
+                self._send(state, effect)
+            elif effect_type is Receive:
+                msg = self._take(state, effect) if state.boxes else None
                 if msg is not None:
                     value = msg
                     continue
@@ -583,158 +589,147 @@ class Kernel:
                         (name, state.block_epoch),
                     )
                 return
+            elif effect_type is list:
+                for item in effect:
+                    if type(item) is not Send and not isinstance(item, Send):
+                        raise SimulationError(
+                            f"actor {name} yielded a sequence containing "
+                            f"{type(item).__name__}; only Send lists are allowed"
+                        )
+                    self._send(state, item)
+            elif effect_type is Work:
+                state.metrics.charge_work(effect.units)
+                if self._work_time_scale > 0 and effect.units > 0:
+                    state.status = _Status.SLEEPING
+                    self._schedule(
+                        self._time + effect.units * self._work_time_scale,
+                        "resume",
+                        (name, None, state.incarnation),
+                    )
+                    return
+            elif effect_type is Sleep:
+                state.status = _Status.SLEEPING
+                self._schedule(
+                    self._time + effect.duration,
+                    "resume",
+                    (name, None, state.incarnation),
+                )
+                return
             else:
                 raise SimulationError(
                     f"actor {name} yielded unsupported effect "
                     f"{type(effect).__name__}"
                 )
 
-    def _handle_send(self, state: _ActorState, effect: Send) -> None:
+    def _send(self, state: _ActorState, effect: Send) -> None:
+        """Charge one send and schedule the delivery of each copy.
+
+        The sender is always charged for exactly one send (a fault is
+        the channel's, not the protocol's).  Under a fault plan, a live
+        partition separating src and dest drops the send before any
+        probability draw, so partitions never perturb the fault RNG
+        stream of the surviving components; otherwise the first rule
+        matching the channel and kind decides drop / duplicate /
+        corruption.  Each surviving copy draws its own latency and
+        respects the FIFO clamp in schedule order.
+        """
         src = state.actor.name
-        if effect.dest not in self._states:
-            raise SimulationError(
-                f"actor {src} sends to unknown actor {effect.dest!r}"
-            )
-        state.actor.metrics.charge_send(effect.kind, effect.size_bits)  # type: ignore[union-attr]
-        if self._faults is not None:
-            self._handle_send_faulty(src, effect)
-            return
-        latency = self._channel.latency(src, effect.dest, effect.kind, self._rng)
-        if latency < 0:  # pragma: no cover - defensive
-            raise SimulationError("channel model produced negative latency")
-        delivery = self._time + latency
-        if self._channel.is_fifo(src, effect.dest, effect.kind):
-            key = (src, effect.dest)
-            delivery = max(delivery, self._last_fifo_delivery.get(key, 0.0))
-            self._last_fifo_delivery[key] = delivery
-        message = self._make_message(src, effect, delivery)
-        if self._observers:
-            self._notify(MessagePhase.SENT, message)
-        self._schedule(delivery, "deliver", message)
-
-    def _make_message(
-        self, src: str, effect: Send, delivery: float, corrupted: bool = False
-    ) -> Message:
-        """Build a delivery envelope, reusing a pooled one when possible.
-
-        Reuse mutates a frozen dataclass in place; that is sound only
-        because pooled envelopes are provably unreferenced (see the
-        module docstring's interning contract).
-        """
-        pool = self._pool
-        if pool:
-            msg = pool.pop()
-            set_field = object.__setattr__
-            set_field(msg, "seq", self._next_seq())
-            set_field(msg, "src", src)
-            set_field(msg, "dest", effect.dest)
-            set_field(msg, "kind", effect.kind)
-            set_field(msg, "payload", effect.payload)
-            set_field(msg, "size_bits", effect.size_bits)
-            set_field(msg, "sent_at", self._time)
-            set_field(msg, "delivered_at", delivery)
-            set_field(msg, "corrupted", corrupted)
-            return msg
-        return Message(
-            seq=self._next_seq(),
-            src=src,
-            dest=effect.dest,
-            kind=effect.kind,
-            payload=effect.payload,
-            size_bits=effect.size_bits,
-            sent_at=self._time,
-            delivered_at=delivery,
-            corrupted=corrupted,
-        )
-
-    def _handle_send_faulty(self, src: str, effect: Send) -> None:
-        """Fault-plan delivery path: drop / duplicate / corruption-mark.
-
-        The sender is always charged for exactly one send (the fault is
-        the channel's, not the protocol's); each surviving copy draws
-        its own latency and respects the FIFO clamp in schedule order.
-        A live partition separating src and dest drops the send before
-        any probability draw, so partitions never perturb the fault RNG
-        stream of the surviving components.
-        """
-        assert self._faults is not None and self._fault_rng is not None
-        for partition in self._live_partitions:
-            if partition.separates(src, effect.dest):
-                self.metrics.record_channel_fault(src, effect.dest, "partitioned")
-                if self._observers:
-                    self._notify_fault(
-                        Message(
-                            seq=self._next_seq(),
-                            src=src,
-                            dest=effect.dest,
-                            kind=effect.kind,
-                            payload=effect.payload,
-                            size_bits=effect.size_bits,
-                            sent_at=self._time,
-                            delivered_at=float("inf"),
-                        ),
-                        lost=False,
-                    )
-                return
-        copies = self._faults.draw(src, effect.dest, effect.kind, self._fault_rng)
-        if not copies:
-            self.metrics.record_channel_fault(src, effect.dest, "dropped")
-            if self._observers:
-                self._notify_fault(
-                    Message(
-                        seq=self._next_seq(),
-                        src=src,
-                        dest=effect.dest,
-                        kind=effect.kind,
-                        payload=effect.payload,
-                        size_bits=effect.size_bits,
-                        sent_at=self._time,
-                        delivered_at=float("inf"),
-                    ),
-                    lost=False,
-                )
-            return
-        if len(copies) > 1:
-            self.metrics.record_channel_fault(src, effect.dest, "duplicated")
-        fifo = self._channel.is_fifo(src, effect.dest, effect.kind)
+        dest = effect.dest
+        if dest not in self._states:
+            raise SimulationError(f"actor {src} sends to unknown actor {dest!r}")
+        kind = effect.kind
+        size_bits = effect.size_bits
+        state.metrics.charge_send(kind, size_bits)
+        copies: tuple[bool, ...] = _ONE_COPY
+        faults = self._faults
+        if faults is not None:
+            for partition in self._live_partitions:
+                if partition.separates(src, dest):
+                    self._drop_send(src, effect, "partitioned")
+                    return
+            rule = faults.rule_for(src, dest, kind)
+            if rule is not None:
+                assert self._fault_rng is not None
+                copies = rule.draw(self._fault_rng)
+                if not copies:
+                    self._drop_send(src, effect, "dropped")
+                    return
+                if len(copies) > 1:
+                    self.metrics.record_channel_fault(src, dest, "duplicated")
+        channel = self._channel
+        fifo = channel.is_fifo(src, dest, kind)
+        now = self._time
         first = True
         for corrupted in copies:
-            latency = self._channel.latency(
-                src, effect.dest, effect.kind, self._rng
-            )
+            latency = channel.latency(src, dest, kind, self._rng)
             if latency < 0:  # pragma: no cover - defensive
                 raise SimulationError("channel model produced negative latency")
-            delivery = self._time + latency
+            delivery = now + latency
             if fifo:
-                key = (src, effect.dest)
-                delivery = max(delivery, self._last_fifo_delivery.get(key, 0.0))
+                key = (src, dest)
+                last = self._last_fifo_delivery.get(key, 0.0)
+                if last > delivery:
+                    delivery = last
                 self._last_fifo_delivery[key] = delivery
             if corrupted:
-                self.metrics.record_channel_fault(src, effect.dest, "corrupted")
-            message = self._make_message(src, effect, delivery, corrupted)
+                self.metrics.record_channel_fault(src, dest, "corrupted")
+            self._seq = seq = self._seq + 1
+            message = Message(
+                seq, src, dest, kind, effect.payload, size_bits, now, delivery,
+                corrupted,
+            )
             if first and self._observers:
                 self._notify(MessagePhase.SENT, message)
             first = False
-            self._schedule(delivery, "deliver", message)
+            self._seq = seq = seq + 1
+            heapq.heappush(self._queue, (delivery, seq, "deliver", message))
 
-    def _match_from_mailbox(
-        self, state: _ActorState, receive: Receive
-    ) -> Message | None:
-        for i, msg in enumerate(state.mailbox):
-            if receive.match is None or receive.match(msg):
-                del state.mailbox[i]
-                metrics = state.actor.metrics
-                assert metrics is not None
-                metrics.charge_receive(msg.kind, msg.size_bits)
-                metrics.adjust_space(-msg.size_bits)
-                if self._observers:
-                    self._notify(MessagePhase.CONSUMED, msg)
-                elif self._intern:
-                    # Parked until the next event boundary; the consuming
-                    # actor's synchronous slice still sees it intact.
-                    self._graveyard.append(msg)
-                return msg
-        return None
+    def _drop_send(self, src: str, effect: Send, what: str) -> None:
+        """Count a send the channel discarded; observers see it DROPPED."""
+        self.metrics.record_channel_fault(src, effect.dest, what)
+        if self._observers:
+            self._seq += 1
+            self._notify_fault(
+                Message(
+                    self._seq, src, effect.dest, effect.kind, effect.payload,
+                    effect.size_bits, self._time, float("inf"),
+                ),
+                lost=False,
+            )
+
+    def _take(self, state: _ActorState, receive: Receive) -> Message | None:
+        """Remove and return the earliest-arrived message ``receive``
+        accepts (see the module docstring), or ``None``."""
+        boxes = state.boxes
+        match = receive.match
+        if match is None or type(match) is KindIs:
+            best = None
+            for kind in boxes if match is None else match:
+                box = boxes.get(kind)
+                if box is not None and (best is None or box[0][0] < best[0][0]):
+                    best = box
+            if best is None:
+                return None
+            msg = best.popleft()[1]
+            if not best:
+                del boxes[msg.kind]
+        else:
+            for entry in sorted(chain.from_iterable(boxes.values())):
+                if match(entry[1]):
+                    break
+            else:
+                return None
+            msg = entry[1]
+            box = boxes[msg.kind]
+            box.remove(entry)
+            if not box:
+                del boxes[msg.kind]
+        metrics = state.metrics
+        metrics.charge_receive(msg.kind, msg.size_bits)
+        metrics.adjust_space(-msg.size_bits)
+        if self._observers:
+            self._notify(MessagePhase.CONSUMED, msg)
+        return msg
 
     # ------------------------------------------------------------------
     def _schedule(self, time: float, action: str, payload: object) -> None:
@@ -746,7 +741,3 @@ class Kernel:
             return
         self._seq = seq = self._seq + 1
         heapq.heappush(self._queue, (time, seq, action, payload))
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq

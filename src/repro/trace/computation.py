@@ -64,7 +64,9 @@ class Computation:
     :meth:`analysis`.
     """
 
-    __slots__ = ("_processes", "_messages", "_local_states", "_analysis")
+    __slots__ = (
+        "_processes", "_messages", "_local_states", "_analysis", "__weakref__"
+    )
 
     def __init__(
         self,

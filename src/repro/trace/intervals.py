@@ -33,6 +33,7 @@ paper's vector-clock properties.
 from __future__ import annotations
 
 import bisect
+import weakref
 from array import array
 from typing import Sequence
 
@@ -52,11 +53,15 @@ class IntervalAnalysis:
     Construction is ``O(E * N)`` where ``E`` is the total event count.
     Prefer :meth:`Computation.analysis` (lazily cached) over constructing
     this directly when repeated queries are needed.
+
+    The analysis holds only a weak reference to its computation, which
+    caches it: a dropped, analysed trace is freed at once instead of
+    waiting for a garbage-collection pass to break a reference cycle.
     """
 
     def __init__(self, computation: Computation) -> None:
-        self._computation = computation
-        n = computation.num_processes
+        self._computation = weakref.ref(computation)
+        n = self._num_processes = computation.num_processes
         # Per process: interval index of each local state s_0..s_T.
         self._state_intervals: list[list[int]] = []
         for pid in range(n):
@@ -75,12 +80,12 @@ class IntervalAnalysis:
         self._vectors: list[list[VectorClock]] = [[] for _ in range(n)]
         self._send_tags: dict[int, int] = {}
         self._recv_deps: list[list[tuple[int, Dependence]]] = [[] for _ in range(n)]
-        self._sweep()
+        self._sweep(computation)
 
     # ------------------------------------------------------------------
     # Construction sweep
     # ------------------------------------------------------------------
-    def _sweep(self) -> None:
+    def _sweep(self, comp: Computation) -> None:
         """Compute every interval vector, send tag and dependence.
 
         One owned ``array('q')`` working buffer per process is mutated
@@ -97,7 +102,6 @@ class IntervalAnalysis:
         cross-checks the result against the event-level Fidge–Mattern
         clocks of :mod:`repro.trace.causality`.
         """
-        comp = self._computation
         n = comp.num_processes
         zero = bytes(8 * n)
         current: list[array] = []
@@ -175,8 +179,19 @@ class IntervalAnalysis:
     # ------------------------------------------------------------------
     @property
     def computation(self) -> Computation:
-        """The analyzed computation."""
-        return self._computation
+        """The analyzed computation.
+
+        Raises :class:`ReferenceError` once nothing else holds it.
+        """
+        comp = self._computation()
+        if comp is None:
+            raise ReferenceError("the analyzed computation no longer exists")
+        return comp
+
+    @property
+    def num_processes(self) -> int:
+        """Number of processes in the analyzed computation."""
+        return self._num_processes
 
     def num_intervals(self, pid: Pid) -> int:
         """Number of communication intervals on process ``pid``."""
@@ -269,10 +284,8 @@ class IntervalAnalysis:
     # Internal checks
     # ------------------------------------------------------------------
     def _check_interval(self, pid: Pid, interval: int) -> None:
-        if not 0 <= pid < self._computation.num_processes:
-            raise CutError(
-                f"pid {pid} out of range (N={self._computation.num_processes})"
-            )
+        if not 0 <= pid < self._num_processes:
+            raise CutError(f"pid {pid} out of range (N={self._num_processes})")
         if not 1 <= interval <= self._num_intervals[pid]:
             raise CutError(
                 f"interval {interval} out of range for P{pid} "

@@ -1,5 +1,8 @@
 """Unit tests for IntervalAnalysis: the Fig. 2 interval semantics."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.clocks import Dependence
@@ -216,3 +219,26 @@ class TestDirectDependence:
                         s, t = StateRef(i, x), StateRef(j, y)
                         if a.directly_precedes(s, t):
                             assert a.happened_before(s, t)
+
+
+class TestNoReferenceCycle:
+    def test_dropped_analysed_computation_freed_without_gc(self):
+        comp = random_computation(4, 4, seed=1)
+        analysis = comp.analysis()
+        assert analysis.computation is comp
+        alive = weakref.ref(comp)
+        gc.disable()
+        try:
+            del comp
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert analysis.num_processes == 4
+        assert analysis.num_intervals(3) >= 1
+        with pytest.raises(ReferenceError):
+            analysis.computation
+
+    def test_pid_range_checked_without_the_computation(self):
+        analysis = random_computation(3, 2, seed=0).analysis()
+        with pytest.raises(CutError, match=r"pid 3 out of range \(N=3\)"):
+            analysis.vector(3, 1)
