@@ -29,8 +29,14 @@ state-sync), the welcome snapshot is the only size-dependent byte cost
 ``environment`` block (real ``cpu_count``, measured wall seconds) so a
 recorded snapshot can never masquerade as a different machine's.
 
+With ``--check FILE`` every produced row's counted columns
+(``liveness_bytes``, ``max_detection_latency``, ``all_detected``) must
+equal the row for the same ``n`` and mode in the committed snapshot
+``FILE``; any difference, or a row the snapshot lacks, exits 1.  The
+simulation is deterministic, so these columns are exact on any host.
+
 Usage: ``python benchmarks/membership_scale.py [--sizes 8,32,128]
-[--elastic] [--out FILE]``
+[--elastic] [--out FILE] [--check FILE]``
 """
 
 import argparse
@@ -133,6 +139,29 @@ def run(sizes) -> dict:
     }
 
 
+#: Columns a deterministic run reproduces exactly on any host.
+COUNTED_COLUMNS = ("liveness_bytes", "max_detection_latency", "all_detected")
+
+
+def check_rows(rows, snapshot: dict) -> list[str]:
+    """Differences between ``rows`` and the snapshot's counted columns."""
+    committed = {(r["n"], r["membership"]): r for r in snapshot["rows"]}
+    problems = []
+    for row in rows:
+        key = (row["n"], row["membership"])
+        pinned = committed.get(key)
+        if pinned is None:
+            problems.append(f"n={key[0]} {key[1]}: no committed row")
+            continue
+        for column in COUNTED_COLUMNS:
+            if row[column] != pinned[column]:
+                problems.append(
+                    f"n={key[0]} {key[1]}: {column} {row[column]!r} "
+                    f"!= committed {pinned[column]!r}"
+                )
+    return problems
+
+
 def run_elastic(sizes) -> dict:
     """The scale-out scenario: grow each group from n//4 to n by joins."""
     config = FailureDetectorConfig(membership="gossip")
@@ -210,13 +239,27 @@ def main() -> int:
                         help="run the scale-out (live join) scenario "
                              "instead of the crash-detection one")
     parser.add_argument("--out", type=pathlib.Path, default=None)
+    parser.add_argument("--check", type=pathlib.Path, default=None,
+                        help="committed snapshot whose counted columns "
+                             "every produced row must equal")
     args = parser.parse_args()
+    if args.check is not None and args.elastic:
+        parser.error("--check compares crash-detection rows; "
+                     "it does not apply to --elastic")
     sizes = tuple(int(s) for s in args.sizes.split(","))
     doc = run_elastic(sizes) if args.elastic else run(sizes)
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {args.out}")
+    if args.check is not None:
+        snapshot = json.loads(args.check.read_text(encoding="utf-8"))
+        problems = check_rows(doc["rows"], snapshot)
+        for problem in problems:
+            print(f"check FAILED: {problem}")
+        if problems:
+            return 1
+        print(f"check PASS: {len(doc['rows'])} rows match {args.check}")
     return 0
 
 

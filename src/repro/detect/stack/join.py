@@ -216,6 +216,7 @@ class StandbyMonitor(FailureDetectorMixin, ReliableEndpoint, Actor):
                     GossipUpdate(slot, status, incarnation, name), self.now
                 )
             self._fd_last_heard.setdefault(slot, self.now)
+        self._fd_peers_changed()
         self._adopt_epoch(welcome.epoch)
         self.joined = True
 

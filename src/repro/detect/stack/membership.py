@@ -308,6 +308,9 @@ class FailureDetectorMixin:
 
     #: Whether this host may initiate takeover elections.
     _fd_can_take_over = True
+    #: Whether :meth:`_fd_receive` may handle inert heartbeats in place
+    #: instead of returning each one to the host's loop.
+    _fd_absorbs_beats = True
 
     def _init_failure_detector(
         self, config: FailureDetectorConfig | None
@@ -324,6 +327,10 @@ class FailureDetectorMixin:
         #: The idle receive per ``(description, tick_interval)``: built
         #: once, since a monitor idles through it on every tick.
         self._fd_idle_receives: dict[tuple[str, float], Receive] = {}
+        #: ``_fd_all_peers()`` and the heartbeat destinations in slot
+        #: order, built on first use and dropped when a member joins.
+        self._fd_peer_map: dict[int, str] | None = None
+        self._fd_beat_dests: tuple[str, ...] | None = None
         self.elections = 0
         self.takeovers = 0
 
@@ -339,11 +346,29 @@ class FailureDetectorMixin:
         return {}
 
     def _fd_all_peers(self) -> dict[int, str]:
-        """The host's static peers plus every runtime-joined member."""
-        peers = self._fd_peers()
-        if self._fd_extra_peers:
-            peers = {**peers, **self._fd_extra_peers}
+        """The host's static peers plus every runtime-joined member.
+
+        Built once and shared by every caller, which must not mutate it;
+        :meth:`_fd_peers_changed` drops it.
+        """
+        peers = self._fd_peer_map
+        if peers is None:
+            peers = self._fd_peers()
+            if self._fd_extra_peers:
+                peers = {**peers, **self._fd_extra_peers}
+            self._fd_peer_map = peers
         return peers
+
+    def _fd_peers_changed(self) -> None:
+        """Forget the cached peer maps (the membership grew)."""
+        self._fd_peer_map = None
+        self._fd_beat_dests = None
+
+    def _fd_add_peer(self, slot: int, name: str) -> None:
+        """Route ``slot`` to ``name`` from now on (a runtime join)."""
+        if self._fd_extra_peers.get(slot) != name:
+            self._fd_extra_peers[slot] = name
+            self._fd_peers_changed()
 
     def _fd_finished(self) -> bool:
         """Whether the protocol has locally concluded.
@@ -380,22 +405,42 @@ class FailureDetectorMixin:
         just loops).  Once ``max_idle_rounds`` consecutive idle ticks
         pass with no protocol traffic, falls back to a blocking receive
         so a dead run can quiesce.
+
+        A heartbeat that is corrupted or carries no newer epoch changes
+        nothing but liveness bookkeeping, which no caller's loop reads
+        between two idle receives; it is handled here and the same
+        receive is yielded again.  The kernel sees exactly the effects
+        the host's loop would have yielded.
         """
-        if self._fd is None or self._fd_idle_rounds >= self._fd.max_idle_rounds:
+        fd = self._fd
+        if fd is None:
             msg = yield self.receive(description=description)
             return msg
-        passive = (
-            GOSSIP_KINDS if self._fd.membership == "gossip"
-            else _HEARTBEAT_ONLY
-        )
-        key = (description, self._fd.tick_interval)
-        idle = self._fd_idle_receives.get(key)
-        if idle is None:
-            idle = self._fd_idle_receives[key] = self.receive_timeout(
-                timeout=self._fd.tick_interval, description=description
-            )
-        msg = yield idle
+        ticking = self._fd_idle_rounds < fd.max_idle_rounds
+        if ticking:
+            key = (description, fd.tick_interval)
+            receive = self._fd_idle_receives.get(key)
+            if receive is None:
+                receive = self._fd_idle_receives[key] = self.receive_timeout(
+                    timeout=fd.tick_interval, description=description
+                )
+        else:
+            receive = self.receive(description=description)
+        msg = yield receive
+        while (
+            self._fd_absorbs_beats
+            and msg is not None
+            and msg.kind == HEARTBEAT_KIND
+            and (msg.corrupted or msg.payload.epoch <= self._epoch)
+        ):
+            self._fd_heartbeat(msg)
+            msg = yield receive
+        if not ticking:
+            return msg
         if msg is not None:
+            passive = (
+                GOSSIP_KINDS if fd.membership == "gossip" else _HEARTBEAT_ONLY
+            )
             if msg.kind not in passive:
                 self._fd_idle_rounds = 0
             return msg
@@ -428,12 +473,16 @@ class FailureDetectorMixin:
         if self._fd.membership == "gossip":
             yield from self._swim_tick(holding)
         else:
-            peers = self._fd_all_peers()
+            dests = self._fd_beat_dests
+            if dests is None:
+                dests = self._fd_beat_dests = tuple(
+                    name for _slot, name in sorted(self._fd_all_peers().items())
+                )
             beat = Heartbeat(self._fd_slot(), self._epoch, holding)
             yield [
                 self.send(name, beat, kind=HEARTBEAT_KIND,
                           size_bits=HEARTBEAT_BITS)
-                for _slot, name in sorted(peers.items())
+                for name in dests
             ]
         now = self.now
         if not self._fd_can_take_over:
@@ -529,7 +578,7 @@ class FailureDetectorMixin:
             tag = event[0]
             if tag == "joined":
                 _, slot, name = event
-                self._fd_extra_peers[slot] = name
+                self._fd_add_peer(slot, name)
                 self._fd_last_heard.setdefault(slot, self.now)
                 continue
             peers = self._fd_all_peers()
@@ -685,19 +734,24 @@ class FailureDetectorMixin:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
+    def _fd_heartbeat(self, msg) -> None:
+        """Note a heartbeat's sender live; adopt a newer epoch."""
+        if msg.corrupted:
+            return
+        beat: Heartbeat = msg.payload
+        self._fd_last_heard[beat.slot] = self.now
+        if beat.holding:
+            self._token_activity = self.now
+        if beat.epoch > self._epoch:
+            self._adopt_epoch(beat.epoch)
+            self._drop_stale_held()
+
     def _dispatch_fd(self, msg):
         """Handle failure-detection kinds; mirrors ``_dispatch_common``."""
         if self._fd is None:
             return "unhandled"
         if msg.kind == HEARTBEAT_KIND:
-            if not msg.corrupted:
-                beat: Heartbeat = msg.payload
-                self._fd_last_heard[beat.slot] = self.now
-                if beat.holding:
-                    self._token_activity = self.now
-                if beat.epoch > self._epoch:
-                    self._adopt_epoch(beat.epoch)
-                    self._drop_stale_held()
+            self._fd_heartbeat(msg)
             return "handled"
         if msg.kind == ELECT_KIND:
             if msg.corrupted:
@@ -798,7 +852,7 @@ class FailureDetectorMixin:
             fresh = swim.add_member(
                 join.slot, join.name, incarnation=join.incarnation
             )
-            self._fd_extra_peers[join.slot] = join.name
+            self._fd_add_peer(join.slot, join.name)
             self._fd_last_heard[join.slot] = self.now
             # Welcome: the full membership snapshot plus the current
             # election epoch, so the joiner is correct from message one.
@@ -883,7 +937,7 @@ class FailureDetectorMixin:
             for event in self._swim_state().ingest(gossip, self.now):
                 if event[0] == "joined":
                     _, slot, name = event
-                    self._fd_extra_peers[slot] = name
+                    self._fd_add_peer(slot, name)
                     self._fd_last_heard.setdefault(slot, self.now)
 
     # ------------------------------------------------------------------

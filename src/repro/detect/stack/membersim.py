@@ -60,6 +60,9 @@ class MembershipHost(FailureDetectorMixin, ReliableEndpoint, Actor):
     """
 
     _fd_can_take_over = False
+    #: The loop notes suspicions after every message, so each heartbeat
+    #: must come back to it.
+    _fd_absorbs_beats = False
 
     def __init__(
         self,

@@ -37,6 +37,16 @@ Message fast path:
   CONSUMED.
 * **Envelopes** are allocated fresh for every send and never reused,
   so actors and observers may keep references to delivered messages.
+* **Timers.**  The event queue holds at most one live receive-timeout
+  entry per actor.  Blocking with a timeout takes a fresh sequence
+  number and records the wanted ``(deadline, seq)`` key on the actor;
+  a heap entry is pushed only when none of the actor's own entries is
+  queued at or before that key.  A queued entry that pops under any
+  other key is re-pushed under the wanted one (or dropped when nothing
+  is wanted), and a hand-off, crash or leave just clears the wanted
+  key.  Every live timeout therefore fires at exactly the ``(time,
+  seq)`` position a heap entry per blocking receive would give it; a
+  receive satisfied before its deadline costs no event.
 """
 
 from __future__ import annotations
@@ -114,9 +124,11 @@ class _ActorState:
     # Only non-empty queues are kept, so an empty mailbox is an empty dict.
     boxes: dict[str, deque[tuple[int, Message]]] = field(default_factory=dict)
     pending_receive: Receive | None = None
-    # Incremented on every block; lets stale receive-timeout events be
-    # recognized and ignored after the actor has already been resumed.
-    block_epoch: int = 0
+    # The (deadline, seq) key of the pending receive's timeout, if any.
+    timer: tuple[float, int] | None = None
+    # The key of this actor's queued timeout entry: the only one of its
+    # entries that may fire or be re-pushed (see "Timers" above).
+    queued_timer: tuple[float, int] | None = None
     # Incremented on every crash; lets stale resume events (sleeps and
     # work scheduled before the crash) be recognized and ignored after
     # the actor has restarted.
@@ -136,6 +148,11 @@ class SimulationResult:
     injected failures (``None`` unless the kernel ran with a fault
     plan); ``crashed`` names actors that were down when the run ended,
     whether crashed or departed through a ``leave`` event.
+
+    ``steps`` counts the events popped off the queue, and ``time`` is
+    the time of the last one.  A receive satisfied before its deadline
+    queues no timeout event (see "Timers" in the module docstring), so
+    superseded timeouts are not counted and do not advance ``time``.
     """
 
     time: float
@@ -165,12 +182,6 @@ class Kernel:
         Optional :class:`~repro.simulation.faults.FaultPlan`.  With
         ``None`` (the default) the delivery hot path is unchanged apart
         from a single ``is None`` check per event.
-    profiler:
-        Optional :class:`~repro.obs.profiling.HotPathProfiler`; when set,
-        the kernel wall-clocks its hot paths (event dispatch per action,
-        plus scheduling outside sends, which a dispatch already covers)
-        under ``kernel.*`` section names.  With ``None`` (the default)
-        the loop pays one ``is None`` check per event and nothing else.
     """
 
     def __init__(
@@ -181,7 +192,6 @@ class Kernel:
         max_steps: int = 5_000_000,
         observers: list | None = None,
         faults: FaultPlan | None = None,
-        profiler=None,
     ) -> None:
         if work_time_scale < 0:
             raise SimulationError("work_time_scale must be >= 0")
@@ -201,7 +211,6 @@ class Kernel:
         self._messages_delivered = 0
         self._last_fifo_delivery: dict[tuple[str, str], float] = {}
         self.metrics = MetricsBoard()
-        self._profiler = profiler
         self._faults = faults
         self._fault_rng = spawn_rng(seed, "faults") if faults is not None else None
         self._live_partitions: list[PartitionEvent] = []
@@ -332,7 +341,6 @@ class Kernel:
         queue = self._queue
         pop = heapq.heappop
         deliver = self._deliver
-        profiler = self._profiler
         max_steps = self._max_steps
         horizon = until if until is not None else float("inf")
         while queue:
@@ -344,36 +352,28 @@ class Kernel:
                     f"exceeded max_steps={max_steps}; "
                     f"likely livelock in a protocol"
                 )
-            time, _seq, action, payload = pop(queue)
+            time, seq, action, payload = pop(queue)
             self._time = time
-            _prof_t0 = profiler.start() if profiler is not None else 0.0
             if action == "deliver":
                 # Delivers dominate every protocol run; dispatch them
-                # first and, off the profiler path, drain all remaining
-                # same-timestamp delivers in one dispatch.  New events
-                # scheduled by a delivery always carry a higher seq than
-                # anything queued, so draining in heap order preserves
-                # the (time, seq) total order exactly.
+                # first and drain all remaining same-timestamp delivers
+                # in one dispatch.  Events are drained in heap order, so
+                # the (time, seq) total order is preserved exactly.
                 deliver(payload)  # type: ignore[arg-type]
-                if profiler is None:
-                    while (
-                        queue
-                        and queue[0][0] == time
-                        and queue[0][2] == "deliver"
-                    ):
-                        self._steps += 1
-                        if self._steps > max_steps:
-                            raise SimulationError(
-                                f"exceeded max_steps={max_steps}; "
-                                f"likely livelock in a protocol"
-                            )
-                        deliver(pop(queue)[3])  # type: ignore[arg-type]
+                while (
+                    queue
+                    and queue[0][0] == time
+                    and queue[0][2] == "deliver"
+                ):
+                    self._steps += 1
+                    if self._steps > max_steps:
+                        raise SimulationError(
+                            f"exceeded max_steps={max_steps}; "
+                            f"likely livelock in a protocol"
+                        )
+                    deliver(pop(queue)[3])  # type: ignore[arg-type]
             elif action == "timeout":
-                name, epoch = payload  # type: ignore[misc]
-                state = self._states[name]
-                if state.status is _Status.BLOCKED and state.block_epoch == epoch:
-                    state.pending_receive = None
-                    self._advance(state, None)
+                self._timeout(payload, seq)  # type: ignore[arg-type]
             elif action == "resume":
                 name, value, incarnation = payload  # type: ignore[misc]
                 state = self._states[name]
@@ -397,8 +397,6 @@ class Kernel:
                 self._notify_partition("healed", payload)  # type: ignore[arg-type]
             else:  # pragma: no cover - defensive
                 raise SimulationError(f"unknown action {action!r}")
-            if profiler is not None:
-                profiler.stop(f"kernel.{action}", _prof_t0)
         blocked = {
             name: (state.pending_receive.description if state.pending_receive else "")
             for name, state in self._states.items()
@@ -424,6 +422,22 @@ class Kernel:
     # ------------------------------------------------------------------
     # Event handlers
     # ------------------------------------------------------------------
+    def _timeout(self, state: _ActorState, seq: int) -> None:
+        """Pop one of ``state``'s timeout entries (see "Timers" above)."""
+        queued = state.queued_timer
+        if queued is None or queued[1] != seq:
+            return  # superseded by an earlier entry pushed after it
+        wanted = state.timer
+        if wanted is None:
+            state.queued_timer = None
+        elif wanted[1] == seq:
+            state.timer = state.queued_timer = None
+            state.pending_receive = None
+            self._advance(state, None)
+        else:
+            state.queued_timer = wanted
+            heapq.heappush(self._queue, (*wanted, "timeout", state))
+
     def _start(self, name: str) -> None:
         state = self._states[name]
         if state.status in (_Status.CRASHED, _Status.LEFT):
@@ -481,7 +495,7 @@ class Kernel:
             self._notify_fault(msg, lost=True)
         state.boxes.clear()
         state.pending_receive = None
-        state.block_epoch += 1
+        state.timer = None
         state.incarnation += 1
         state.status = status
 
@@ -528,7 +542,7 @@ class Kernel:
                 if self._observers:
                     self._notify(MessagePhase.DELIVERED, message)
                     self._notify(MessagePhase.CONSUMED, message)
-                state.pending_receive = None
+                state.pending_receive = state.timer = None
                 self._advance(state, message)
                 return
         elif self._faults is not None and status in (
@@ -581,13 +595,18 @@ class Kernel:
                     continue
                 state.status = _Status.BLOCKED
                 state.pending_receive = effect
-                state.block_epoch += 1
                 if effect.timeout is not None:
-                    self._schedule(
-                        self._time + effect.timeout,
-                        "timeout",
-                        (name, state.block_epoch),
-                    )
+                    self._seq = seq = self._seq + 1
+                    deadline = self._time + effect.timeout
+                    state.timer = (deadline, seq)
+                    queued = state.queued_timer
+                    # A queued entry with an equal deadline has a lower
+                    # seq, so it pops first and re-pushes this key.
+                    if queued is None or queued[0] > deadline:
+                        state.queued_timer = state.timer
+                        heapq.heappush(
+                            self._queue, (deadline, seq, "timeout", state)
+                        )
                 return
             elif effect_type is list:
                 for item in effect:
@@ -733,11 +752,5 @@ class Kernel:
 
     # ------------------------------------------------------------------
     def _schedule(self, time: float, action: str, payload: object) -> None:
-        if self._profiler is not None:
-            t0 = self._profiler.start()
-            self._seq = seq = self._seq + 1
-            heapq.heappush(self._queue, (time, seq, action, payload))
-            self._profiler.stop("kernel.schedule", t0)
-            return
         self._seq = seq = self._seq + 1
         heapq.heappush(self._queue, (time, seq, action, payload))

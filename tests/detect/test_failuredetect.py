@@ -2,8 +2,9 @@
 
 The end-to-end takeover behaviour (elections, regeneration, exactness
 under partitions) is covered by ``tests/integration/test_fault_tolerance``;
-this module pins down the config validation, payload accounting and the
-frame-selection rule the election relies on.
+this module pins down the config validation, payload accounting, the
+frame-selection rule the election relies on, and how the idle receive
+handles heartbeats.
 """
 
 import pytest
@@ -14,11 +15,17 @@ from repro.detect.stack import FailureDetectorConfig, TokenFrame
 from repro.detect.stack.membership import (
     ELECT_BITS,
     HEARTBEAT_BITS,
+    HEARTBEAT_KIND,
     ElectOk,
     Heartbeat,
     RegenRequest,
     best_frames,
 )
+from repro.detect.stack.gossip import ALIVE, JoinWelcome
+from repro.detect.stack.join import StandbyMonitor
+from repro.detect.stack.membersim import MembershipHost
+from repro.simulation import Message, Receive
+from repro.simulation.instrumentation import ActorMetrics
 
 
 class TestConfigValidation:
@@ -98,3 +105,127 @@ class TestHeartbeat:
         beat = Heartbeat(slot=1, epoch=3)
         assert not beat.holding
         assert Heartbeat(slot=1, epoch=3, holding=True).holding
+
+
+class AbsorbingHost(MembershipHost):
+    """A membership-only host whose idle receive absorbs inert beats."""
+
+    _fd_absorbs_beats = True
+
+
+def _host(cls, clock):
+    host = cls(
+        "member-0", 0, {1: "member-1", 2: "member-2"},
+        FailureDetectorConfig(), duration=100.0,
+    )
+    host.attach(ActorMetrics("member-0"), lambda: clock[0])
+    return host
+
+
+def _beat(epoch, *, holding=False, corrupted=False, slot=2):
+    return Message(
+        seq=1, src=f"member-{slot}", dest="member-0", kind=HEARTBEAT_KIND,
+        payload=Heartbeat(slot, epoch, holding), size_bits=HEARTBEAT_BITS,
+        sent_at=0.0, delivered_at=0.0, corrupted=corrupted,
+    )
+
+
+def _finish(gen, value):
+    """Send ``value`` into ``gen``; return what it returns (or None)."""
+    try:
+        gen.send(value)
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError("generator yielded instead of returning")
+
+
+class TestIdleReceiveHeartbeats:
+    def test_inert_beat_is_absorbed_in_place(self):
+        clock = [5.0]
+        host = _host(AbsorbingHost, clock)
+        gen = host._fd_receive("idle")
+        idle = next(gen)
+        assert isinstance(idle, Receive) and idle.timeout is not None
+        assert gen.send(_beat(0, holding=True)) is idle
+        assert host._fd_last_heard[2] == 5.0
+        assert host._token_activity == 5.0
+        clock[0] = 6.0
+        assert gen.send(_beat(0, corrupted=True, slot=1)) is idle
+        assert host._fd_last_heard[1] == 0.0  # garbage proves nothing
+        assert host._fd_idle_rounds == 0
+        beats = gen.send(None)  # the timeout: one tick beats every peer
+        assert [send.dest for send in beats] == ["member-1", "member-2"]
+        assert _finish(gen, None) is None
+        assert host._fd_idle_rounds == 1
+
+    def test_blocking_fallback_absorbs_inert_beats_too(self):
+        clock = [5.0]
+        host = _host(AbsorbingHost, clock)
+        host._fd_idle_rounds = host._fd.max_idle_rounds  # stopped ticking
+        gen = host._fd_receive("idle")
+        receive = next(gen)
+        assert receive.timeout is None
+        assert gen.send(_beat(0)) is receive
+        assert host._fd_last_heard[2] == 5.0
+        other = Message(
+            seq=2, src="member-1", dest="member-0", kind="elect",
+            payload=None, size_bits=0, sent_at=0.0, delivered_at=0.0,
+        )
+        assert _finish(gen, other) is other
+        assert host._fd_idle_rounds == host._fd.max_idle_rounds
+
+    def test_newer_epoch_returns_and_drops_stale_frames(self):
+        clock = [5.0]
+        host = _host(AbsorbingHost, clock)
+        host._held.append(TokenFrame(hop=3, body=None, gid=0, epoch=0))
+        gen = host._fd_receive("idle")
+        next(gen)
+        beat = _beat(2)
+        assert _finish(gen, beat) is beat  # the run loop must react
+        assert host._epoch == 0
+        dispatch = host._dispatch_fd(beat)
+        assert _finish(dispatch, None) == "handled"
+        assert host._epoch == 2
+        assert not host._held
+        assert host._fd_last_heard[2] == 5.0
+
+    def test_membership_harness_sees_every_beat(self):
+        host = _host(MembershipHost, [5.0])
+        gen = host._fd_receive("idle")
+        next(gen)
+        beat = _beat(0)
+        assert _finish(gen, beat) is beat
+        assert host._fd_last_heard[2] == 0.0  # handled by the caller
+
+
+class TestPeerMap:
+    def test_built_once_and_rebuilt_when_a_member_joins(self):
+        host = _host(MembershipHost, [0.0])
+        peers = host._fd_all_peers()
+        assert peers == {1: "member-1", 2: "member-2"}
+        assert host._fd_all_peers() is peers
+        host._fd_add_peer(5, "member-5")
+        assert host._fd_all_peers() == {
+            1: "member-1", 2: "member-2", 5: "member-5",
+        }
+        beats = next(host._fd_tick())
+        assert [send.dest for send in beats] == [
+            "member-1", "member-2", "member-5",
+        ]
+
+    def test_standby_routes_to_every_welcomed_member(self):
+        standby = StandbyMonitor(
+            "mon-3", 3, "mon-0", 0,
+            config=FailureDetectorConfig(membership="gossip"),
+        )
+        standby.attach(ActorMetrics("mon-3"), lambda: 1.0)
+        assert standby._fd_all_peers() == {0: "mon-0"}
+        standby._absorb_welcome(JoinWelcome(
+            members=(
+                (0, "mon-0", 0, ALIVE), (1, "mon-1", 0, ALIVE),
+                (3, "mon-3", 0, ALIVE),
+            ),
+            epoch=2,
+        ))
+        assert standby._fd_all_peers() == {0: "mon-0", 1: "mon-1"}
+        assert standby._epoch == 2

@@ -97,3 +97,51 @@ class TestElasticTrial:
 
         with pytest.raises(ValueError):
             run_elastic_trial(8, FailureDetectorConfig())
+
+
+class TestPinnedSnapshot:
+    """The N=8 rows of ``benchmarks/results/membership_scale.json``.
+
+    The harness's loop notes suspicions after every message, so any
+    change to how its heartbeats are delivered shows up here first.
+    """
+
+    #: mode -> (liveness_bytes, max_detection_latency, all_detected)
+    EXPECTED = {
+        "heartbeat": (4891, 14.0, True),
+        "gossip": (2847, 29.0, True),
+    }
+
+    def test_n8_rows(self):
+        for mode, expected in self.EXPECTED.items():
+            trial = run_membership_trial(
+                8, FailureDetectorConfig(membership=mode),
+                duration=60.0, crash_at=10.0,
+            )
+            got = (
+                trial.liveness_bytes,
+                trial.max_detection_latency,
+                trial.all_detected,
+            )
+            assert got == expected, mode
+
+    def test_expected_values_match_the_committed_snapshot(self):
+        import json
+        from pathlib import Path
+
+        path = (
+            Path(__file__).resolve().parents[2]
+            / "benchmarks" / "results" / "membership_scale.json"
+        )
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert (doc["duration"], doc["crash_at"]) == (60.0, 10.0)
+        rows = {
+            row["membership"]: (
+                row["liveness_bytes"],
+                row["max_detection_latency"],
+                row["all_detected"],
+            )
+            for row in doc["rows"]
+            if row["n"] == 8
+        }
+        assert rows == self.EXPECTED
